@@ -114,6 +114,14 @@ def _symbol_set(channel: Channel) -> frozenset[int]:
     return frozenset(channel.symbols)
 
 
+def check_budget(strategy: Strategy, t: int) -> None:
+    """Reject an error budget that no block of this strategy can have."""
+    if t < 0:
+        raise ValueError(f"error budget must be nonnegative, got {t}")
+    if t > strategy.block_length:
+        raise ValueError("error budget exceeds the block length")
+
+
 def run_session(strategy: Strategy, channel: Channel, adversary: Adversary, message: int, t: int) -> Transcript:
     """Play out one full block and decode it.
 
@@ -122,8 +130,7 @@ def run_session(strategy: Strategy, channel: Channel, adversary: Adversary, mess
     """
     if not 0 <= message < strategy.message_count:
         raise ValueError(f"message {message} out of range for M={strategy.message_count}")
-    if t > strategy.block_length:
-        raise ValueError("error budget exceeds the block length")
+    check_budget(strategy, t)
     symbols = _symbol_set(channel)
     n = strategy.block_length
     sent: list[int] = []

@@ -13,39 +13,81 @@ Three schemes, plus a non-adaptive baseline:
   first error (it sees every delivered symbol), and the last block position
   carries a flag telling the receiver which parse to apply.
 
-All encoders are pure: every step is recomputed from (message, received
-prefix), which is what makes exhaustive game-tree search possible.
+All encoders are pure: the next symbol is a function of (message, received
+prefix) alone, which is what makes exhaustive game-tree search possible.
+The rubber encoders get there incrementally.  Their sender state (codeword,
+phase, receiver stack) is immutable, and one step costs one feed of the
+received symbol; encode_step is the fold of those steps over the prefix,
+memoised along the last prefix asked for (see _path_memo_encoder).
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from functools import lru_cache
-from typing import Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 from .codebook import DualRunConstraint, RunConstraint, count, is_valid, rank, unrank
 from .session import Strategy
 
 
-def rubber_stack_parse(symbols: Sequence[int], *, rubber: int, correction: int, run_length: int) -> list[int]:
-    """Receiver-side parse shared by all rubber decoders.
+def _push(stack: tuple[int, ...], y: int, *, rubber: int, correction: int, run_length: int) -> tuple[int, ...]:
+    """The receiver's stack after one more delivered symbol.
 
-    Push each symbol; whenever the top run_length entries all equal rubber,
-    pop them and add correction to the symbol now on top, then re-check.
-    The re-check matters: a repaired repair cascades.
+    Push y; whenever the top run_length entries all equal rubber, pop them
+    and add correction to the symbol now on top, then re-check.  The
+    re-check matters: a repaired repair cascades.
     """
-    stack: list[int] = []
-    for s in symbols:
-        stack.append(s)
-        while len(stack) >= run_length and all(v == rubber for v in stack[-run_length:]):
-            del stack[-run_length:]
-            if stack:
-                stack[-1] += correction
+    stack += (y,)
+    run = (rubber,) * run_length
+    while stack[-run_length:] == run:
+        stack = stack[:-run_length]
+        if stack:
+            stack = stack[:-1] + (stack[-1] + correction,)
     return stack
 
 
-def _automaton_next(w: tuple[int, ...], stack: list[int], rubber: int, fill: int) -> int:
+def rubber_stack_parse(symbols: Sequence[int], *, rubber: int, correction: int, run_length: int) -> list[int]:
+    """Receiver-side parse shared by all rubber decoders: _push, symbol by symbol."""
+    stack: tuple[int, ...] = ()
+    for s in symbols:
+        stack = _push(stack, s, rubber=rubber, correction=correction, run_length=run_length)
+    return list(stack)
+
+
+def _path_memo_encoder(start: Callable[[int], object], feed: Callable[[object, int], object], emit: Callable[[object], int]):
+    """encode_step(m, prefix) = emit(the fold of feed over prefix from start(m)).
+
+    The states along the last prefix asked for are kept.  A call whose
+    prefix extends that path, or branches off it at its last symbol (a
+    DFS child or sibling, the next session step, the next replay
+    position), costs one feed; any other call folds from start(m).  The
+    memo is checked against (m, prefix) on every call, so encode_step
+    stays a function of its arguments alone.  The memo is not locked:
+    give each thread its own strategy.
+    """
+    memo_m: Optional[int] = None
+    path: tuple[int, ...] = ()
+    # states[i] is the state after path[:i], for every i < len(states)
+    states: list = []
+
+    def encode_step(m: int, received_prefix: tuple[int, ...]) -> int:
+        nonlocal memo_m, path
+        prefix = tuple(received_prefix)
+        if m != memo_m:
+            memo_m, path, states[:] = m, (), [start(m)]
+        j = len(prefix) - 1
+        keep = j if 0 < j < len(states) and prefix[:j] == path[:j] else 0
+        del states[keep + 1 :]
+        path = prefix
+        for y in prefix[keep:]:
+            states.append(feed(states[-1], y))
+        return emit(states[-1])
+
+    return encode_step
+
+
+def _automaton_next(w: tuple[int, ...], stack: tuple[int, ...], rubber: int, fill: int) -> int:
     """Sender rule given the receiver's current stack.
 
     Send the next info symbol while the stack is a proper prefix of the
@@ -54,10 +96,10 @@ def _automaton_next(w: tuple[int, ...], stack: list[int], rubber: int, fill: int
     """
     k = len(w)
     if len(stack) < k:
-        if stack == list(w[: len(stack)]):
+        if stack == w[: len(stack)]:
             return w[len(stack)]
         return rubber
-    if stack[:k] == list(w):
+    if stack[:k] == w:
         return fill
     return rubber
 
@@ -70,6 +112,14 @@ def _decode_word(constraint, word: Sequence[int], message_count: int) -> int:
     if not is_valid(constraint, word):
         return 0
     return rank(constraint, word)
+
+
+class RubberState(NamedTuple):
+    """Sender state of the modified rubber scheme."""
+
+    codeword: tuple[int, ...]
+    # the receiver's parse of everything delivered so far
+    stack: tuple[int, ...]
 
 
 def modified_rubber_strategy(q: int, r: int, side: str, n: int, t: int) -> Strategy:
@@ -99,17 +149,19 @@ def modified_rubber_strategy(q: int, r: int, side: str, n: int, t: int) -> Strat
         raise ValueError(f"side must be 'z' or 'invz', got {side!r}")
     constraint = RunConstraint(q, rubber, r)
     message_count = count(constraint, k)
+    convention = dict(rubber=rubber, correction=correction, run_length=r)
 
-    @lru_cache(maxsize=None)
-    def codeword(m: int) -> tuple[int, ...]:
-        return unrank(constraint, k, m)
+    def start(m: int) -> RubberState:
+        return RubberState(unrank(constraint, k, m), ())
 
-    def encode_step(m: int, received_prefix: tuple[int, ...]) -> int:
-        stack = rubber_stack_parse(received_prefix, rubber=rubber, correction=correction, run_length=r)
-        return _automaton_next(codeword(m), stack, rubber, fill)
+    def feed(state: RubberState, y: int) -> RubberState:
+        return RubberState(state.codeword, _push(state.stack, y, **convention))
+
+    def emit(state: RubberState) -> int:
+        return _automaton_next(state.codeword, state.stack, rubber, fill)
 
     def decode(received: tuple[int, ...]) -> int:
-        stack = rubber_stack_parse(received, rubber=rubber, correction=correction, run_length=r)
+        stack = rubber_stack_parse(received, **convention)
         return _decode_word(constraint, stack[:k], message_count)
 
     return Strategy(
@@ -117,7 +169,7 @@ def modified_rubber_strategy(q: int, r: int, side: str, n: int, t: int) -> Strat
         q=q,
         message_count=message_count,
         block_length=n,
-        encode_step=encode_step,
+        encode_step=_path_memo_encoder(start, feed, emit),
         decode=decode,
     )
 
@@ -192,6 +244,16 @@ class UniPhase(enum.Enum):
     COMMITTED_UP = "committed_up"
 
 
+class UniState(NamedTuple):
+    """Sender state of the unidirectional rubber scheme."""
+
+    codeword: tuple[int, ...]
+    position: int
+    phase: UniPhase
+    # the receiver's parse under the committed convention; None while clean
+    stack: Optional[tuple[int, ...]]
+
+
 def unidirectional_rubber_strategy(q: int, r: int, n: int, t: int) -> Strategy:
     """Rubber scheme when the error direction is unknown in advance.
 
@@ -228,38 +290,39 @@ def unidirectional_rubber_strategy(q: int, r: int, n: int, t: int) -> Strategy:
     message_count = count(constraint, k)
     down = dict(rubber=q - 1, correction=+1, run_length=r)
     up = dict(rubber=0, correction=-1, run_length=r)
+    conventions = {UniPhase.COMMITTED_DOWN: down, UniPhase.COMMITTED_UP: up}
 
-    @lru_cache(maxsize=None)
-    def codeword(m: int) -> tuple[int, ...]:
-        return unrank(constraint, k, m)
+    def clean_symbol(w: tuple[int, ...], i: int) -> int:
+        # With no error so far, exactly i symbols stand delivered.
+        if i < k:
+            return w[i]
+        return 1 if (i - k) % r == 0 else 0
 
-    def next_symbol(w: tuple[int, ...], phase: UniPhase, prefix: tuple[int, ...]) -> int:
-        i = len(prefix)
+    def start(m: int) -> UniState:
+        return UniState(unrank(constraint, k, m), 0, UniPhase.ASSUME_CLEAN, None)
+
+    def emit(state: UniState) -> int:
+        w, i, phase, stack = state
         if i == n - 1:
             return q - 1 if phase is UniPhase.COMMITTED_UP else 0
         if phase is UniPhase.ASSUME_CLEAN:
-            # No errors so far, so exactly i symbols stand delivered.
-            if i < k:
-                return w[i]
-            return 1 if (i - k) % r == 0 else 0
+            return clean_symbol(w, i)
         if phase is UniPhase.COMMITTED_DOWN:
-            stack = rubber_stack_parse(prefix, **down)
             return _automaton_next(w, stack, q - 1, 0)
-        stack = rubber_stack_parse(prefix, **up)
         return _automaton_next(w, stack, 0, q - 1)
 
-    def state_after(m: int, received_prefix: tuple[int, ...]) -> UniPhase:
-        w = codeword(m)
-        phase = UniPhase.ASSUME_CLEAN
-        for j, y in enumerate(received_prefix):
-            x = next_symbol(w, phase, received_prefix[:j])
-            if phase is UniPhase.ASSUME_CLEAN and y != x:
-                phase = UniPhase.COMMITTED_UP if y > x else UniPhase.COMMITTED_DOWN
-        return phase
-
-    def encode_step(m: int, received_prefix: tuple[int, ...]) -> int:
-        phase = state_after(m, received_prefix)
-        return next_symbol(codeword(m), phase, received_prefix)
+    def feed(state: UniState, y: int) -> UniState:
+        w, i, phase, stack = state
+        if phase is not UniPhase.ASSUME_CLEAN:
+            return UniState(w, i + 1, phase, _push(stack, y, **conventions[phase]))
+        x = emit(state)
+        if y == x:
+            return UniState(w, i + 1, phase, None)
+        # First error: commit, and parse what was delivered under the
+        # committed convention once.
+        phase = UniPhase.COMMITTED_UP if y > x else UniPhase.COMMITTED_DOWN
+        received = tuple(clean_symbol(w, j) for j in range(i)) + (y,)
+        return UniState(w, i + 1, phase, tuple(rubber_stack_parse(received, **conventions[phase])))
 
     def decode(received: tuple[int, ...]) -> int:
         flag = received[-1]
@@ -279,7 +342,7 @@ def unidirectional_rubber_strategy(q: int, r: int, n: int, t: int) -> Strategy:
         q=q,
         message_count=message_count,
         block_length=n,
-        encode_step=encode_step,
+        encode_step=_path_memo_encoder(start, feed, emit),
         decode=decode,
     )
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 from .channels import DirectionState
-from .session import Channel, Strategy, Transcript, admissible_outputs, advance_direction
+from .session import Channel, Strategy, Transcript, admissible_outputs, advance_direction, check_budget
 
 DEFAULT_NODE_BUDGET = 10_000_000
 
@@ -69,44 +69,56 @@ class _Search:
         self.on_transcript = on_transcript
         self.nodes = 0
         self.max_depth = 0
-        self._sent: list[int] = []
-        self._received: list[int] = []
 
     def search_message(self, m: int, t: int) -> Optional[tuple]:
-        """First failing (sent, received, decoded) in path order, or None."""
-        return self._dfs(m, t, DirectionState.UNDECIDED)
+        """First failing (sent, received, decoded) in path order, or None.
 
-    def _dfs(self, m: int, budget: int, direction: DirectionState) -> Optional[tuple]:
-        self.nodes += 1
-        if self.nodes > self.node_budget:
-            raise NodeBudgetExceeded(f"node budget {self.node_budget} exhausted")
-        depth = len(self._received)
-        if depth > self.max_depth:
-            self.max_depth = depth
-        if depth == self.strategy.block_length:
-            received = tuple(self._received)
-            decoded = self.strategy.decode(received)
-            if self.on_transcript is not None:
-                sent = tuple(self._sent)
-                errors = tuple(i for i, (a, b) in enumerate(zip(sent, received)) if a != b)
-                self.on_transcript(Transcript(sent, received, errors, direction, decoded))
-            if decoded != m:
-                return (tuple(self._sent), received, decoded)
-            return None
-        x = self.strategy.encode_step(m, tuple(self._received))
-        for y in admissible_outputs(self.channel, x, budget, direction):
-            self._sent.append(x)
-            self._received.append(y)
-            result = self._dfs(
-                m,
-                budget - (1 if y != x else 0),
-                advance_direction(self.channel, direction, x, y),
-            )
-            self._sent.pop()
-            self._received.pop()
-            if result is not None:
-                return result
-        return None
+        Depth-first over an explicit stack of open nodes, outputs ascending,
+        so deep blocks cannot exhaust the interpreter's recursion limit.
+        """
+        n = self.strategy.block_length
+        encode_step, decode = self.strategy.encode_step, self.strategy.decode
+        sent: list[int] = []
+        received: list[int] = []
+        # one frame per open node on the path: (input x, its outputs not yet tried, budget, direction)
+        frames: list[tuple] = []
+        budget, direction = t, DirectionState.UNDECIDED
+        while True:
+            self.nodes += 1
+            if self.nodes > self.node_budget:
+                raise NodeBudgetExceeded(f"node budget {self.node_budget} exhausted")
+            depth = len(received)
+            if depth > self.max_depth:
+                self.max_depth = depth
+            if depth == n:
+                word = tuple(received)
+                decoded = decode(word)
+                if self.on_transcript is not None:
+                    path = tuple(sent)
+                    errors = tuple(i for i, (a, b) in enumerate(zip(path, word)) if a != b)
+                    self.on_transcript(Transcript(path, word, errors, direction, decoded))
+                if decoded != m:
+                    return (tuple(sent), word, decoded)
+            else:
+                x = encode_step(m, tuple(received))
+                frames.append((x, iter(admissible_outputs(self.channel, x, budget, direction)), budget, direction))
+            # step to the next unvisited node: the next output of the
+            # deepest frame that has one left
+            while True:
+                if not frames:
+                    return None
+                x, outputs, parent_budget, parent_direction = frames[-1]
+                if len(received) == len(frames):
+                    sent.pop()
+                    received.pop()
+                y = next(outputs, None)
+                if y is not None:
+                    break
+                frames.pop()
+            sent.append(x)
+            received.append(y)
+            budget = parent_budget - (1 if y != x else 0)
+            direction = advance_direction(self.channel, parent_direction, x, y)
 
 
 def verify_successful(
@@ -121,8 +133,7 @@ def verify_successful(
     Never conflates "not searched" with "safe": running out of node budget
     yields the distinct outcome "inconclusive".
     """
-    if t > strategy.block_length:
-        raise ValueError("error budget exceeds the block length")
+    check_budget(strategy, t)
     search = _Search(strategy, channel, node_budget, on_transcript)
     for m in range(strategy.message_count):
         try:

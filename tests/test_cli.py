@@ -140,6 +140,25 @@ def test_verify_reports_are_reproducible(tmp_path):
     assert out.read_bytes() == first
 
 
+def test_verify_deep_block_does_not_recurse(tmp_path):
+    out = tmp_path / "deep.json"
+    code = main(["verify", "--strategy", "identity", "--q", "2", "--n", "1200", "--t", "1", "--out", str(out)])
+    assert code == 2
+    report = json.loads(out.read_text())
+    assert report["nodes"] == 2402
+    assert report["counterexample"]["message"] == 1
+    assert report["counterexample"]["received"] == [0] * 1200
+
+
+def test_negative_budget_is_a_usage_error(tmp_path, capsys):
+    out = tmp_path / "neg.json"
+    assert main(["verify", "--strategy", "identity", "--q", "2", "--n", "3", "--t", "-1", "--out", str(out)]) == 1
+    assert not out.exists()
+    args = ["session", "--strategy", "identity", "--q", "2", "--n", "3", "--t", "-1", "--message", "0"]
+    assert main(args + ["--adversary", "passive"]) == 1
+    assert "nonnegative" in capsys.readouterr().err
+
+
 def test_missing_r_is_a_usage_error(tmp_path):
     out = tmp_path / "x.json"
     code = main(

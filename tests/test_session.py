@@ -114,6 +114,8 @@ def test_message_and_budget_validation():
         run_session(s, ch, PassiveAdversary(), -1, 1)
     with pytest.raises(ValueError):
         run_session(s, ch, PassiveAdversary(), 0, 4)
+    with pytest.raises(ValueError):
+        run_session(s, ch, PassiveAdversary(), 0, -1)
 
 
 def test_strategy_symbol_range_is_enforced():

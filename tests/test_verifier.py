@@ -1,8 +1,8 @@
 import pytest
 
 from qfeedback.bounds import sphere_packing_message_bound
-from qfeedback.channels import make_unidirectional_pair, make_z_channel
-from qfeedback.session import PathAdversary, run_session
+from qfeedback.channels import DirectionState, make_unidirectional_pair, make_z_channel
+from qfeedback.session import PathAdversary, admissible_outputs, advance_direction, run_session
 from qfeedback.strategies import (
     identity_strategy,
     modified_rubber_strategy,
@@ -78,6 +78,9 @@ def test_budget_validation():
     s = identity_strategy(2, 2)
     with pytest.raises(ValueError):
         verify_successful(s, make_z_channel(2), 3)
+    # a negative budget is meaningless, never a certificate
+    with pytest.raises(ValueError):
+        verify_successful(identity_strategy(2, 3), make_z_channel(2), -1)
 
 
 def test_unidirectional_certification_small():
@@ -158,6 +161,50 @@ def test_unidirectional_leaves_never_mix_directions():
         if any(d != 0 for d in deltas):
             mixed_seen = True
     assert mixed_seen
+
+
+def recursive_leaves(strategy, channel, t):
+    """Leaves (message, sent, received, direction, decoded) in plain recursive DFS order."""
+    leaves = []
+
+    def walk(m, sent, received, budget, direction):
+        if len(received) == strategy.block_length:
+            leaves.append((m, sent, received, direction, strategy.decode(received)))
+            return
+        x = strategy.encode_step(m, received)
+        for y in admissible_outputs(channel, x, budget, direction):
+            walk(m, sent + (x,), received + (y,), budget - (y != x), advance_direction(channel, direction, x, y))
+
+    for m in range(strategy.message_count):
+        walk(m, (), (), t, DirectionState.UNDECIDED)
+    return leaves
+
+
+@pytest.mark.parametrize(
+    "strategy, channel, t",
+    [
+        (modified_rubber_strategy(3, 2, "z", 6, 1), make_z_channel(3), 1),
+        (unidirectional_rubber_strategy(3, 2, 8, 2), make_unidirectional_pair(3), 2),
+        (zero_error_unidirectional_strategy(3, 4), make_unidirectional_pair(3), 4),
+        (identity_strategy(2, 3), make_z_channel(2), 1),
+    ],
+)
+def test_search_visits_leaves_in_recursive_order(strategy, channel, t):
+    expected = recursive_leaves(strategy, channel, t)
+    seen = []
+    verdict = verify_successful(
+        strategy, channel, t,
+        on_transcript=lambda tr: seen.append((tr.sent, tr.received, tr.direction, tr.decoded)),
+    )
+    failing = next((i for i, leaf in enumerate(expected) if leaf[4] != leaf[0]), None)
+    if failing is None:
+        assert verdict.outcome == "success"
+        assert seen == [leaf[1:] for leaf in expected]
+    else:
+        m, sent, received, _, decoded = expected[failing]
+        assert (verdict.message, verdict.sent, verdict.received, verdict.decoded) == (m, sent, received, decoded)
+        assert seen == [leaf[1:] for leaf in expected[: failing + 1]]
+    assert verdict.max_depth == strategy.block_length
 
 
 def test_verdict_json_for_counterexample():
