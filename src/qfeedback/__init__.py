@@ -14,6 +14,7 @@ from .bounds import (
     min_max_output_mass,
     modified_rubber_bound,
     run_growth_rate,
+    single_rubber_rate,
     sphere_packing_message_bound,
     zero_error_capacity,
 )
@@ -32,7 +33,6 @@ from .codebook import (
     DualRunConstraint,
     RunConstraint,
     count,
-    growth_rate_estimate,
     is_valid,
     rank,
     unrank,
@@ -52,7 +52,6 @@ from .strategies import (
     identity_strategy,
     modified_rubber_strategy,
     rubber_stack_parse,
-    single_rubber_rate,
     unidirectional_rubber_strategy,
     zero_error_unidirectional_strategy,
 )
@@ -88,7 +87,6 @@ __all__ = [
     "capacity_upper_bound",
     "count",
     "degree_two_bound",
-    "growth_rate_estimate",
     "identity_strategy",
     "is_valid",
     "lower_envelope",

@@ -14,7 +14,11 @@ from functools import lru_cache
 from math import comb
 
 from .channels import ChannelGraph
-from .strategies import single_rubber_rate
+
+
+def _check_alphabet(q: int) -> None:
+    if q < 2:
+        raise ValueError(f"alphabet size must be at least 2, got {q}")
 
 
 def _check_tau(tau: float) -> None:
@@ -165,8 +169,7 @@ def run_growth_rate(q: int, r: int) -> float:
     g(q) = 1, so bisection on [q-1, q] is safe.  r = 1 collapses to q - 1
     exactly.
     """
-    if q < 2:
-        raise ValueError(f"alphabet size must be at least 2, got {q}")
+    _check_alphabet(q)
     if r < 1:
         raise ValueError(f"run length must be at least 1, got {r}")
     if r == 1:
@@ -196,8 +199,7 @@ def modified_rubber_bound(q: int, tau: float) -> float:
     """Best rubber-scheme rate at error fraction tau: max over run lengths
     r >= 2 of (1 - r*tau) * log_q(growth rate).  Zero beyond tau = 1/2; the
     tau = 0 value is the limit 1."""
-    if q < 2:
-        raise ValueError(f"alphabet size must be at least 2, got {q}")
+    _check_alphabet(q)
     _check_tau(tau)
     if tau == 0.0:
         return 1.0
@@ -225,8 +227,7 @@ def degree_two_bound(q: int, tau: float) -> float:
 
 def capacity_upper_bound(q: int, tau: float) -> float:
     """Upper bound on any feedback strategy's rate over the Z channel."""
-    if q < 2:
-        raise ValueError(f"alphabet size must be at least 2, got {q}")
+    _check_alphabet(q)
     _check_tau(tau)
     a = min(tau, 1.0 / (q + 1))
     b = min(tau, 0.5)
@@ -240,8 +241,7 @@ def capacity_upper_bound(q: int, tau: float) -> float:
 def sphere_packing_message_bound(n: int, t: int, q: int) -> Fraction:
     """Exact ceiling on the number of messages any feedback strategy of
     block length n can protect against t errors on the Z channel."""
-    if q < 2:
-        raise ValueError(f"alphabet size must be at least 2, got {q}")
+    _check_alphabet(q)
     if not 0 <= t <= n:
         raise ValueError(f"need 0 <= t <= n, got t={t}, n={n}")
     numerator = sum(comb(n, i) * q ** (n - i) for i in range(t + 1))
@@ -263,12 +263,28 @@ def binary_symmetric_capacity(tau: float) -> float:
     return 0.0
 
 
+def single_rubber_rate(q: int):
+    """Rate curve of the plain one-symbol rubber scheme: (1-tau)*log_q(q-1).
+
+    Each error costs one extra position and the info alphabet loses one
+    symbol.  Returns a function of tau on [0, 1].
+    """
+    _check_alphabet(q)
+
+    def rate(tau: float) -> float:
+        _check_tau(tau)
+        if q == 2:
+            return 0.0
+        return (1.0 - tau) * math.log(q - 1) / math.log(q)
+
+    return rate
+
+
 def lower_envelope(q: int, tau: float) -> float:
     """Best known achievable rate on the unidirectional channel: the max of
     the rubber curves, the two-candidate bound (q >= 3), and the zero-error
     strategy's constant rate."""
-    if q < 2:
-        raise ValueError(f"alphabet size must be at least 2, got {q}")
+    _check_alphabet(q)
     _check_tau(tau)
     terms = [
         modified_rubber_bound(q, tau),

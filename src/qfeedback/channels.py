@@ -4,13 +4,21 @@ A channel is a directed graph on symbols: an edge (i, j) with i != j means a
 sent symbol i may be delivered as j at the cost of one adversary error.
 Every symbol always has the free self-loop (i, i), so doing nothing is
 always admissible.
+
+Both channel types share one interface, which is all that sessions and the
+verifier use: symbols (the input alphabet), outputs_for(sent, direction)
+(every output the adversary may deliver, before any budget check) and
+direction_after(direction, sent, received).  A ChannelGraph is a
+unidirectional channel whose error direction is fixed in advance, so it
+ignores the direction; a UnidirectionalChannel commits its direction at the
+first error.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 # Sentinel symbol for the hub node of the star channel.  It is a valid
 # symbol everywhere a plain int is accepted, including JSON output.
@@ -50,30 +58,12 @@ class ChannelGraph:
             raise ValueError(f"{sent} is not a channel symbol")
         return tuple(sorted(j for i, j in self.edges if i == sent))
 
-    def corruptions(self, sent: int) -> tuple[int, ...]:
-        """Outputs that differ from the sent symbol (each costs one error)."""
-        return tuple(j for j in self.outputs(sent) if j != sent)
+    def outputs_for(self, sent: int, direction: DirectionState) -> tuple[int, ...]:
+        """Outputs for sent; a graph's error direction is fixed in advance."""
+        return self.outputs(sent)
 
-    def admissible_outputs(self, sent: int, budget_left: int) -> tuple[int, ...]:
-        if budget_left > 0:
-            return self.outputs(sent)
-        return (sent,)
-
-    def can_corrupt(self, sent: int, received: int) -> bool:
-        return sent != received and (sent, received) in self.edges
-
-    def to_json_dict(self) -> dict:
-        return {
-            "q": self.q,
-            "edges": sorted([i, j] for i, j in self.edges),
-        }
-
-    @staticmethod
-    def from_json_dict(data: dict, name: str = "channel") -> "ChannelGraph":
-        q = int(data["q"])
-        edges = frozenset((int(i), int(j)) for i, j in data["edges"])
-        symbols = sorted({s for e in edges for s in e} | set(range(q)))
-        return ChannelGraph(name=name, q=q, symbols=tuple(symbols), edges=edges)
+    def direction_after(self, direction: DirectionState, sent: int, received: int) -> DirectionState:
+        return direction
 
 
 def _with_self_loops(symbols: Iterable[int], extra: Iterable[tuple[int, int]]) -> frozenset:
@@ -135,6 +125,10 @@ class UnidirectionalChannel:
     positive_channel: ChannelGraph
     negative_channel: ChannelGraph
 
+    @property
+    def symbols(self) -> tuple[int, ...]:
+        return tuple(range(self.q))
+
     def outputs_for(self, sent: int, direction: DirectionState) -> tuple[int, ...]:
         if direction is DirectionState.POSITIVE:
             return self.positive_channel.outputs(sent)
@@ -162,14 +156,6 @@ class UnidirectionalChannel:
                 raise ValueError("negative error after positive commitment")
             return DirectionState.NEGATIVE
         raise ValueError(f"step from {sent} to {received} is not admissible")
-
-    def accepts_error_vector(self, errors: Sequence[int]) -> bool:
-        """True if the componentwise error vector fits one direction."""
-        if any(e not in (-1, 0, 1) for e in errors):
-            return False
-        has_pos = any(e > 0 for e in errors)
-        has_neg = any(e < 0 for e in errors)
-        return not (has_pos and has_neg)
 
 
 def make_unidirectional_pair(q: int) -> UnidirectionalChannel:

@@ -17,12 +17,13 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import contextlib
+import io
 import json
 import math
 import os
 import sys
 import time
-from typing import Optional
 
 from .bounds import (
     binary_symmetric_capacity,
@@ -56,7 +57,23 @@ _GRAPH_CHANNELS = {
     "star": make_star_channel,
 }
 
-_STRATEGY_NAMES = ("modified_rubber", "zero_error", "unidirectional_rubber", "identity")
+_CHANNELS = {**_GRAPH_CHANNELS, "uni": make_unidirectional_pair}
+
+
+def _run_length(args) -> int:
+    if args.r is None:
+        raise ValueError(f"{args.strategy} requires r")
+    return args.r
+
+
+# name -> (builder from parsed args, default channel id); a default of None
+# means the channel named by --side
+_STRATEGIES = {
+    "modified_rubber": (lambda a: modified_rubber_strategy(a.q, _run_length(a), a.side, a.n, a.t), None),
+    "zero_error": (lambda a: zero_error_unidirectional_strategy(a.q, a.n), "uni"),
+    "unidirectional_rubber": (lambda a: unidirectional_rubber_strategy(a.q, _run_length(a), a.n, a.t), "uni"),
+    "identity": (lambda a: identity_strategy(a.q, a.n), "z"),
+}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -66,47 +83,41 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+class _SectionParser(_Parser):
+    """Parses one campaign section: errors raise, keys must match flags exactly."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, allow_abbrev=False, **kwargs)
+
+    def error(self, message):
+        raise ValueError(message)
+
+
 def _write_text(path: str, text: str) -> None:
+    """Write atomically: a temp file beside the target, then os.replace."""
     parent = os.path.dirname(path)
     if parent:
         os.makedirs(parent, exist_ok=True)
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(text)
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8") as handle:
+            handle.write(text)
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
 
 
 def _dump_json(data) -> str:
     return json.dumps(data, indent=2, sort_keys=True) + "\n"
 
 
-def _build_strategy(name: str, q: int, n: int, t: int, r: Optional[int], side: str):
-    if name == "modified_rubber":
-        if r is None:
-            raise ValueError("modified_rubber requires r")
-        return modified_rubber_strategy(q, r, side, n, t)
-    if name == "unidirectional_rubber":
-        if r is None:
-            raise ValueError("unidirectional_rubber requires r")
-        return unidirectional_rubber_strategy(q, r, n, t)
-    if name == "zero_error":
-        return zero_error_unidirectional_strategy(q, n)
-    if name == "identity":
-        return identity_strategy(q, n)
-    raise ValueError(f"unknown strategy {name!r}")
-
-
-def _build_channel(channel_id: Optional[str], strategy_name: str, side: str, q: int):
-    if channel_id is None:
-        if strategy_name == "modified_rubber":
-            channel_id = side
-        elif strategy_name in ("zero_error", "unidirectional_rubber"):
-            channel_id = "uni"
-        else:
-            channel_id = "z"
-    if channel_id == "uni":
-        return channel_id, make_unidirectional_pair(q)
-    if channel_id in _GRAPH_CHANNELS:
-        return channel_id, _GRAPH_CHANNELS[channel_id](q)
-    raise ValueError(f"unknown channel {channel_id!r}")
+def _build_strategy_and_channel(args):
+    """The strategy, the channel id and the channel that args select."""
+    build, default_channel = _STRATEGIES[args.strategy]
+    strategy = build(args)
+    channel_id = args.channel or default_channel or args.side
+    return strategy, channel_id, _CHANNELS[channel_id](args.q)
 
 
 def _build_adversary(selector: str, n: int):
@@ -146,6 +157,8 @@ def _curve_functions(q: int) -> dict:
 
 def write_curves(q: int, step: float, path: str) -> None:
     """CSV of every bound curve for one q, rows sorted by curve then tau."""
+    if q < 2:
+        raise ValueError(f"alphabet size must be at least 2, got {q}")
     if not 0.0 < step <= 0.5:
         raise ValueError(f"grid step must lie in (0, 0.5], got {step}")
     taus = []
@@ -171,74 +184,43 @@ def _cmd_curves(args) -> int:
 # verify
 
 
-def run_verify_job(
-    strategy_name: str,
-    q: int,
-    n: int,
-    t: int,
-    r: Optional[int],
-    side: str,
-    channel_id: Optional[str],
-    budget: int,
-    out_path: str,
-) -> str:
-    """Run one verification, write report plus timing sidecar, return outcome."""
-    strategy = _build_strategy(strategy_name, q, n, t, r, side)
-    channel_id, channel = _build_channel(channel_id, strategy_name, side, q)
-    started = time.perf_counter()
-    verdict = verify_successful(strategy, channel, t, node_budget=budget)
-    elapsed_ms = int((time.perf_counter() - started) * 1000)
-    report = {
-        "strategy": strategy.name,
-        "channel": channel_id,
-        "n": n,
-        "M": strategy.message_count,
-        "t": t,
-        "outcome": verdict.outcome,
-        "nodes": verdict.nodes,
-    }
-    if verdict.outcome == "counterexample":
-        report["counterexample"] = {
-            "message": verdict.message,
-            "sent": list(verdict.sent),
-            "received": list(verdict.received),
-            "decoded": verdict.decoded,
-        }
-    _write_text(out_path, _dump_json(report))
-    _write_text(out_path + ".log", f"wall_time_ms={elapsed_ms}\n")
-    return verdict.outcome
-
-
 _OUTCOME_EXIT = {"success": 0, "counterexample": 2, "inconclusive": 3}
 
 
 def _cmd_verify(args) -> int:
-    outcome = run_verify_job(
-        args.strategy, args.q, args.n, args.t, args.r, args.side, args.channel, args.budget, args.out
-    )
-    return _OUTCOME_EXIT[outcome]
+    """Run one verification, write report plus timing sidecar."""
+    strategy, channel_id, channel = _build_strategy_and_channel(args)
+    started = time.perf_counter()
+    verdict = verify_successful(strategy, channel, args.t, node_budget=args.budget)
+    elapsed_ms = int((time.perf_counter() - started) * 1000)
+    report = {
+        "strategy": strategy.name,
+        "channel": channel_id,
+        "n": args.n,
+        "M": strategy.message_count,
+        "t": args.t,
+        **verdict.to_json_dict(),
+    }
+    _write_text(args.out, _dump_json(report))
+    _write_text(args.out + ".log", f"wall_time_ms={elapsed_ms}\n")
+    return _OUTCOME_EXIT[verdict.outcome]
 
 
 # ---------------------------------------------------------------------------
 # zcap
 
 
-def zcap_report(channel_id: str, q: int) -> dict:
-    if channel_id not in _GRAPH_CHANNELS:
-        raise ValueError(f"unknown channel {channel_id!r}")
-    graph = _GRAPH_CHANNELS[channel_id](q)
+def _cmd_zcap(args) -> int:
+    graph = _GRAPH_CHANNELS[args.channel](args.q)
     mass = min_max_output_mass(graph)
-    return {
-        "channel": channel_id,
-        "q": q,
+    report = {
+        "channel": args.channel,
+        "q": args.q,
         "alphabet_size": len(graph.symbols),
         "min_max_output_mass": f"{mass.numerator}/{mass.denominator}",
         "capacity": zero_error_capacity(graph),
     }
-
-
-def _cmd_zcap(args) -> int:
-    sys.stdout.write(_dump_json(zcap_report(args.channel, args.q)))
+    sys.stdout.write(_dump_json(report))
     return 0
 
 
@@ -246,130 +228,82 @@ def _cmd_zcap(args) -> int:
 # session
 
 
-def run_single_session(
-    strategy_name: str,
-    q: int,
-    n: int,
-    t: int,
-    r: Optional[int],
-    side: str,
-    channel_id: Optional[str],
-    message: int,
-    adversary_selector: str,
-):
-    strategy = _build_strategy(strategy_name, q, n, t, r, side)
-    _, channel = _build_channel(channel_id, strategy_name, side, q)
-    adversary = _build_adversary(adversary_selector, n)
-    return run_session(strategy, channel, adversary, message, t), message
-
-
 def _cmd_session(args) -> int:
-    transcript, message = run_single_session(
-        args.strategy, args.q, args.n, args.t, args.r, args.side, args.channel, args.message, args.adversary
-    )
+    strategy, _, channel = _build_strategy_and_channel(args)
+    adversary = _build_adversary(args.adversary, args.n)
+    transcript = run_session(strategy, channel, adversary, args.message, args.t)
     sys.stdout.write(_dump_json(transcript.to_json_dict()))
-    return 0 if transcript.decoded == message else 2
+    return 0 if transcript.decoded == args.message else 2
 
 
 # ---------------------------------------------------------------------------
 # campaign
 
+# subcommands a campaign section may name; zcap and session print, so their
+# stdout goes to the section's out file
+_CAMPAIGN_KINDS = ("curves", "verify", "zcap", "session")
+_PRINTING_KINDS = ("zcap", "session")
 
-def _job_get(job, section: str, key: str, cast, default=_Parser):
-    if key not in job:
-        if default is not _Parser:
-            return default
-        raise ValueError(f"config error in [{section}]: missing '{key}'")
-    raw = job[key]
+
+def _parse_section(parser: _SectionParser, name: str, section) -> tuple:
+    """(parsed args, out file for printed output or None) for one section.
+
+    Every key but kind is the subcommand's flag of the same name.
+    """
+    keys = dict(section)
+    kind = keys.pop("kind", None)
+    if kind is None:
+        raise ValueError(f"config error in [{name}]: missing 'kind'")
+    if kind not in _CAMPAIGN_KINDS:
+        raise ValueError(f"config error in [{name}]: unknown kind {kind!r}")
+    out = keys.pop("out", None) if kind in _PRINTING_KINDS else None
+    if kind in _PRINTING_KINDS and out is None:
+        raise ValueError(f"config error in [{name}]: missing 'out'")
     try:
-        return cast(raw)
-    except ValueError:
-        raise ValueError(f"config error in [{section}]: bad value {raw!r} for '{key}'") from None
+        args = parser.parse_args([kind] + [f"--{key}={value}" for key, value in keys.items()])
+    except ValueError as exc:
+        raise ValueError(f"config error in [{name}]: missing, unknown or malformed key: {exc}") from None
+    return args, out
 
 
-def run_campaign(config_path: str, workers: int = 1) -> int:
-    """Run every job in the config; exit severity aggregates verify outcomes."""
-    if workers < 1:
-        raise ValueError("workers must be at least 1")
-    parser = configparser.ConfigParser()
-    if not parser.read(config_path):
+def run_campaign(config_path: str) -> int:
+    """Run every job in the config; exit severity aggregates job outcomes.
+
+    Every section is parsed before the first job runs.
+    """
+    config = configparser.ConfigParser()
+    if not config.read(config_path):
         raise ValueError(f"cannot read config file {config_path!r}")
-    any_counterexample = False
-    any_inconclusive = False
-    for section in parser.sections():
-        job = parser[section]
-        kind = _job_get(job, section, "kind", str)
-        if kind == "curves":
-            write_curves(
-                _job_get(job, section, "q", int),
-                _job_get(job, section, "step", float, 0.01),
-                _job_get(job, section, "out", str),
-            )
-        elif kind == "verify":
-            outcome = run_verify_job(
-                _job_get(job, section, "strategy", str),
-                _job_get(job, section, "q", int),
-                _job_get(job, section, "n", int),
-                _job_get(job, section, "t", int),
-                _job_get(job, section, "r", int, None),
-                _job_get(job, section, "side", str, "z"),
-                _job_get(job, section, "channel", str, None),
-                _job_get(job, section, "budget", int, DEFAULT_NODE_BUDGET),
-                _job_get(job, section, "out", str),
-            )
-            if outcome == "counterexample":
-                any_counterexample = True
-            elif outcome == "inconclusive":
-                any_inconclusive = True
-        elif kind == "zcap":
-            report = zcap_report(
-                _job_get(job, section, "channel", str),
-                _job_get(job, section, "q", int),
-            )
-            _write_text(_job_get(job, section, "out", str), _dump_json(report))
-        elif kind == "session":
-            transcript, message = run_single_session(
-                _job_get(job, section, "strategy", str),
-                _job_get(job, section, "q", int),
-                _job_get(job, section, "n", int),
-                _job_get(job, section, "t", int),
-                _job_get(job, section, "r", int, None),
-                _job_get(job, section, "side", str, "z"),
-                _job_get(job, section, "channel", str, None),
-                _job_get(job, section, "message", int),
-                _job_get(job, section, "adversary", str),
-            )
-            _write_text(_job_get(job, section, "out", str), _dump_json(transcript.to_json_dict()))
-            if transcript.decoded != message:
-                any_counterexample = True
-        else:
-            raise ValueError(f"config error in [{section}]: unknown kind {kind!r}")
-    if any_counterexample:
+    parser = _build_parser(_SectionParser)
+    jobs = [_parse_section(parser, name, config[name]) for name in config.sections()]
+    codes = []
+    for args, out in jobs:
+        with contextlib.redirect_stdout(io.StringIO()) as printed:
+            codes.append(args.func(args))
+        if out is not None:
+            _write_text(out, printed.getvalue())
+    if 2 in codes:
         return 2
-    if any_inconclusive:
+    if 3 in codes:
         return 3
     return 0
-
-
-def _cmd_campaign(args) -> int:
-    return run_campaign(args.config, args.workers)
 
 
 # ---------------------------------------------------------------------------
 
 
 def _add_strategy_arguments(parser) -> None:
-    parser.add_argument("--strategy", required=True, choices=_STRATEGY_NAMES)
+    parser.add_argument("--strategy", required=True, choices=tuple(_STRATEGIES))
     parser.add_argument("--q", type=int, required=True, help="alphabet size")
     parser.add_argument("--n", type=int, required=True, help="block length")
     parser.add_argument("--t", type=int, required=True, help="adversary error budget")
     parser.add_argument("--r", type=int, default=None, help="rubber run length")
     parser.add_argument("--side", choices=("z", "invz"), default="z")
-    parser.add_argument("--channel", choices=("z", "invz", "sym", "star", "uni"), default=None)
+    parser.add_argument("--channel", choices=tuple(_CHANNELS), default=None)
 
 
-def _build_parser() -> _Parser:
-    parser = _Parser(prog="qfeedback", description="Feedback coding over adversarial q-ary channels.")
+def _build_parser(parser_class=_Parser) -> _Parser:
+    parser = parser_class(prog="qfeedback", description="Feedback coding over adversarial q-ary channels.")
     sub = parser.add_subparsers(dest="command", required=True)
 
     curves = sub.add_parser("curves", help="emit bound curves as CSV")
@@ -397,8 +331,7 @@ def _build_parser() -> _Parser:
 
     campaign = sub.add_parser("campaign", help="run a batch config")
     campaign.add_argument("--config", required=True)
-    campaign.add_argument("--workers", type=int, default=1)
-    campaign.set_defaults(func=_cmd_campaign)
+    campaign.set_defaults(func=lambda args: run_campaign(args.config))
 
     return parser
 
@@ -408,10 +341,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ValueError as exc:
-        print(f"qfeedback: error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (ValueError, OSError) as exc:
         print(f"qfeedback: error: {exc}", file=sys.stderr)
         return 1
 

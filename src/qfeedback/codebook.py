@@ -13,7 +13,6 @@ prefix reaches a run of the forbidden length.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional, Sequence
@@ -162,13 +161,3 @@ def unrank(constraint, length: int, idx: int) -> tuple[int, ...]:
         else:
             raise AssertionError("ran out of symbols while unranking")
     return tuple(word)
-
-
-def growth_rate_estimate(constraint, length: int) -> float:
-    """count(length)^(1/length); tends to the dominant root of the run recurrence."""
-    if length < 1:
-        raise ValueError("length must be at least 1")
-    total = count(constraint, length)
-    if total == 0:
-        return 0.0
-    return math.exp(math.log(total) / length)

@@ -10,7 +10,7 @@ between sessions, so any prefix can be replayed exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Protocol, Sequence, Union
+from typing import Callable, Protocol, Sequence, Union
 
 from .channels import ChannelGraph, DirectionState, UnidirectionalChannel
 
@@ -97,21 +97,11 @@ def admissible_outputs(channel: Channel, sent: int, budget_left: int, direction:
     """Outputs the adversary may deliver, identity always included."""
     if budget_left <= 0:
         return (sent,)
-    if isinstance(channel, UnidirectionalChannel):
-        return channel.outputs_for(sent, direction)
-    return channel.admissible_outputs(sent, budget_left)
+    return channel.outputs_for(sent, direction)
 
 
 def advance_direction(channel: Channel, direction: DirectionState, sent: int, received: int) -> DirectionState:
-    if isinstance(channel, UnidirectionalChannel):
-        return channel.direction_after(direction, sent, received)
-    return direction
-
-
-def _symbol_set(channel: Channel) -> frozenset[int]:
-    if isinstance(channel, UnidirectionalChannel):
-        return frozenset(range(channel.q))
-    return frozenset(channel.symbols)
+    return channel.direction_after(direction, sent, received)
 
 
 def check_budget(strategy: Strategy, t: int) -> None:
@@ -131,7 +121,7 @@ def run_session(strategy: Strategy, channel: Channel, adversary: Adversary, mess
     if not 0 <= message < strategy.message_count:
         raise ValueError(f"message {message} out of range for M={strategy.message_count}")
     check_budget(strategy, t)
-    symbols = _symbol_set(channel)
+    symbols = frozenset(channel.symbols)
     n = strategy.block_length
     sent: list[int] = []
     received: list[int] = []

@@ -24,7 +24,6 @@ memoised along the last prefix asked for (see _path_memo_encoder).
 from __future__ import annotations
 
 import enum
-import math
 from typing import Callable, NamedTuple, Optional, Sequence
 
 from .codebook import DualRunConstraint, RunConstraint, count, is_valid, rank, unrank
@@ -107,11 +106,18 @@ def _automaton_next(w: tuple[int, ...], stack: tuple[int, ...], rubber: int, fil
 def _decode_word(constraint, word: Sequence[int], message_count: int) -> int:
     """Total decode: invalid words (unreachable under the channel) map to 0."""
     word = tuple(word)
-    if message_count <= 1:
-        return 0
-    if not is_valid(constraint, word):
+    if message_count <= 1 or not is_valid(constraint, word):
         return 0
     return rank(constraint, word)
+
+
+def _digits(m: int, base: int, length: int) -> tuple[int, ...]:
+    """The lowest `length` digits of m in the given base, most significant first."""
+    out = []
+    for _ in range(length):
+        out.append(m % base)
+        m //= base
+    return tuple(reversed(out))
 
 
 class RubberState(NamedTuple):
@@ -193,16 +199,9 @@ def zero_error_unidirectional_strategy(q: int, n: int) -> Strategy:
     base = (q + 1) // 2
     message_count = base ** (n - 1)
 
-    def digits_of(m: int) -> tuple[int, ...]:
-        out = []
-        for _ in range(n - 1):
-            out.append(m % base)
-            m //= base
-        return tuple(reversed(out))
-
     def encode_step(m: int, received_prefix: tuple[int, ...]) -> int:
         i = len(received_prefix)
-        word = digits_of(m)
+        word = _digits(m, base, n - 1)
         if i < n - 1:
             return 2 * word[i]
         sent = tuple(2 * d for d in word)
@@ -357,15 +356,8 @@ def identity_strategy(q: int, n: int) -> Strategy:
         raise ValueError("need q >= 2 and n >= 1")
     message_count = q ** n
 
-    def digits_of(m: int) -> tuple[int, ...]:
-        out = []
-        for _ in range(n):
-            out.append(m % q)
-            m //= q
-        return tuple(reversed(out))
-
     def encode_step(m: int, received_prefix: tuple[int, ...]) -> int:
-        return digits_of(m)[len(received_prefix)]
+        return _digits(m, q, n)[len(received_prefix)]
 
     def decode(received: tuple[int, ...]) -> int:
         m = 0
@@ -381,22 +373,3 @@ def identity_strategy(q: int, n: int) -> Strategy:
         encode_step=encode_step,
         decode=decode,
     )
-
-
-def single_rubber_rate(q: int):
-    """Rate curve of the plain one-symbol rubber scheme: (1-tau)*log_q(q-1).
-
-    Each error costs one extra position and the info alphabet loses one
-    symbol.  Returns a function of tau on [0, 1].
-    """
-    if q < 2:
-        raise ValueError(f"alphabet size must be at least 2, got {q}")
-
-    def rate(tau: float) -> float:
-        if not 0.0 <= tau <= 1.0:
-            raise ValueError(f"tau must lie in [0, 1], got {tau}")
-        if q == 2:
-            return 0.0
-        return (1.0 - tau) * math.log(q - 1) / math.log(q)
-
-    return rate

@@ -63,6 +63,8 @@ class _Search:
         node_budget: int,
         on_transcript: Optional[Callable[[Transcript], None]],
     ):
+        if node_budget < 1:
+            raise ValueError(f"node budget must be at least 1, got {node_budget}")
         self.strategy = strategy
         self.channel = channel
         self.node_budget = node_budget

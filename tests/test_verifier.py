@@ -83,6 +83,15 @@ def test_budget_validation():
         verify_successful(identity_strategy(2, 3), make_z_channel(2), -1)
 
 
+def test_node_budget_below_one_is_rejected():
+    s = identity_strategy(2, 2)
+    for node_budget in (0, -1):
+        with pytest.raises(ValueError):
+            verify_successful(s, make_z_channel(2), 1, node_budget=node_budget)
+        with pytest.raises(ValueError):
+            max_errors_survived(s, make_z_channel(2), 0, node_budget=node_budget)
+
+
 def test_unidirectional_certification_small():
     s = unidirectional_rubber_strategy(3, 2, 5, 1)
     v = verify_successful(s, make_unidirectional_pair(3), 1)
