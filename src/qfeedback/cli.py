@@ -41,14 +41,14 @@ from .channels import (
     make_unidirectional_pair,
     make_z_channel,
 )
-from .session import GreedyAdversary, PassiveAdversary, PathAdversary, run_session
+from .session import GreedyAdversary, PassiveAdversary, PathAdversary, check_budget, check_message, run_session
 from .strategies import (
     identity_strategy,
     modified_rubber_strategy,
     unidirectional_rubber_strategy,
     zero_error_unidirectional_strategy,
 )
-from .verifier import DEFAULT_NODE_BUDGET, verify_successful
+from .verifier import DEFAULT_NODE_BUDGET, check_node_budget, verify_successful
 
 _GRAPH_CHANNELS = {
     "z": make_z_channel,
@@ -90,7 +90,7 @@ class _SectionParser(_Parser):
         super().__init__(*args, allow_abbrev=False, **kwargs)
 
     def error(self, message):
-        raise ValueError(message)
+        raise ValueError(f"missing, unknown or malformed key: {message}")
 
 
 def _write_text(path: str, text: str) -> None:
@@ -113,9 +113,10 @@ def _dump_json(data) -> str:
 
 
 def _build_strategy_and_channel(args):
-    """The strategy, the channel id and the channel that args select."""
+    """The strategy, the channel id and the channel that args select, t checked."""
     build, default_channel = _STRATEGIES[args.strategy]
     strategy = build(args)
+    check_budget(strategy, args.t)
     channel_id = args.channel or default_channel or args.side
     return strategy, channel_id, _CHANNELS[channel_id](args.q)
 
@@ -155,29 +156,34 @@ def _curve_functions(q: int) -> dict:
     return funcs
 
 
-def write_curves(q: int, step: float, path: str) -> None:
-    """CSV of every bound curve for one q, rows sorted by curve then tau."""
-    if q < 2:
-        raise ValueError(f"alphabet size must be at least 2, got {q}")
-    if not 0.0 < step <= 0.5:
-        raise ValueError(f"grid step must lie in (0, 0.5], got {step}")
+def _curves_job(args):
+    """Checked curves job; running it writes every bound curve as CSV, by curve then tau."""
+    if args.q < 2:
+        raise ValueError(f"alphabet size must be at least 2, got {args.q}")
+    if not 0.0 < args.step <= 0.5:
+        raise ValueError(f"grid step must lie in (0, 0.5], got {args.step}")
     taus = []
     i = 0
-    while i * step <= 1.0 + 1e-9:
-        taus.append(min(i * step, 1.0))
+    while i * args.step <= 1.0 + 1e-9:
+        taus.append(min(i * args.step, 1.0))
         i += 1
-    funcs = _curve_functions(q)
-    lines = ["tau,value,curve"]
-    for curve in sorted(funcs):
-        evaluate = funcs[curve]
-        for tau in taus:
-            lines.append(f"{tau:.12g},{evaluate(tau):.12g},{curve}")
-    _write_text(path, "\n".join(lines) + "\n")
+
+    def run() -> int:
+        funcs = _curve_functions(args.q)
+        lines = ["tau,value,curve"]
+        for curve in sorted(funcs):
+            evaluate = funcs[curve]
+            for tau in taus:
+                lines.append(f"{tau:.12g},{evaluate(tau):.12g},{curve}")
+        _write_text(args.out, "\n".join(lines) + "\n")
+        return 0
+
+    return run
 
 
-def _cmd_curves(args) -> int:
-    write_curves(args.q, args.step, args.out)
-    return 0
+def write_curves(q: int, step: float, path: str) -> None:
+    """CSV of every bound curve for one q, rows sorted by curve then tau."""
+    _curves_job(argparse.Namespace(q=q, step=step, out=path))()
 
 
 # ---------------------------------------------------------------------------
@@ -187,53 +193,67 @@ def _cmd_curves(args) -> int:
 _OUTCOME_EXIT = {"success": 0, "counterexample": 2, "inconclusive": 3}
 
 
-def _cmd_verify(args) -> int:
-    """Run one verification, write report plus timing sidecar."""
+def _verify_job(args):
+    """Checked verification; running it writes the report plus a timing sidecar."""
     strategy, channel_id, channel = _build_strategy_and_channel(args)
-    started = time.perf_counter()
-    verdict = verify_successful(strategy, channel, args.t, node_budget=args.budget)
-    elapsed_ms = int((time.perf_counter() - started) * 1000)
-    report = {
-        "strategy": strategy.name,
-        "channel": channel_id,
-        "n": args.n,
-        "M": strategy.message_count,
-        "t": args.t,
-        **verdict.to_json_dict(),
-    }
-    _write_text(args.out, _dump_json(report))
-    _write_text(args.out + ".log", f"wall_time_ms={elapsed_ms}\n")
-    return _OUTCOME_EXIT[verdict.outcome]
+    check_node_budget(args.budget)
+
+    def run() -> int:
+        started = time.perf_counter()
+        verdict = verify_successful(strategy, channel, args.t, node_budget=args.budget)
+        elapsed_ms = int((time.perf_counter() - started) * 1000)
+        report = {
+            "strategy": strategy.name,
+            "channel": channel_id,
+            "n": args.n,
+            "M": strategy.message_count,
+            "t": args.t,
+            **verdict.to_json_dict(),
+        }
+        _write_text(args.out, _dump_json(report))
+        _write_text(args.out + ".log", f"wall_time_ms={elapsed_ms}\n")
+        return _OUTCOME_EXIT[verdict.outcome]
+
+    return run
 
 
 # ---------------------------------------------------------------------------
 # zcap
 
 
-def _cmd_zcap(args) -> int:
+def _zcap_job(args):
     graph = _GRAPH_CHANNELS[args.channel](args.q)
-    mass = min_max_output_mass(graph)
-    report = {
-        "channel": args.channel,
-        "q": args.q,
-        "alphabet_size": len(graph.symbols),
-        "min_max_output_mass": f"{mass.numerator}/{mass.denominator}",
-        "capacity": zero_error_capacity(graph),
-    }
-    sys.stdout.write(_dump_json(report))
-    return 0
+
+    def run() -> int:
+        mass = min_max_output_mass(graph)
+        report = {
+            "channel": args.channel,
+            "q": args.q,
+            "alphabet_size": len(graph.symbols),
+            "min_max_output_mass": f"{mass.numerator}/{mass.denominator}",
+            "capacity": zero_error_capacity(graph),
+        }
+        sys.stdout.write(_dump_json(report))
+        return 0
+
+    return run
 
 
 # ---------------------------------------------------------------------------
 # session
 
 
-def _cmd_session(args) -> int:
+def _session_job(args):
     strategy, _, channel = _build_strategy_and_channel(args)
+    check_message(strategy, args.message)
     adversary = _build_adversary(args.adversary, args.n)
-    transcript = run_session(strategy, channel, adversary, args.message, args.t)
-    sys.stdout.write(_dump_json(transcript.to_json_dict()))
-    return 0 if transcript.decoded == args.message else 2
+
+    def run() -> int:
+        transcript = run_session(strategy, channel, adversary, args.message, args.t)
+        sys.stdout.write(_dump_json(transcript.to_json_dict()))
+        return 0 if transcript.decoded == args.message else 2
+
+    return run
 
 
 # ---------------------------------------------------------------------------
@@ -245,48 +265,52 @@ _CAMPAIGN_KINDS = ("curves", "verify", "zcap", "session")
 _PRINTING_KINDS = ("zcap", "session")
 
 
-def _parse_section(parser: _SectionParser, name: str, section) -> tuple:
-    """(parsed args, out file for printed output or None) for one section.
+def _section_job(parser: _SectionParser, name: str, section) -> tuple:
+    """(checked job, out file for printed output or None) for one section.
 
     Every key but kind is the subcommand's flag of the same name.
     """
     keys = dict(section)
     kind = keys.pop("kind", None)
-    if kind is None:
-        raise ValueError(f"config error in [{name}]: missing 'kind'")
-    if kind not in _CAMPAIGN_KINDS:
-        raise ValueError(f"config error in [{name}]: unknown kind {kind!r}")
     out = keys.pop("out", None) if kind in _PRINTING_KINDS else None
-    if kind in _PRINTING_KINDS and out is None:
-        raise ValueError(f"config error in [{name}]: missing 'out'")
     try:
+        if kind not in _CAMPAIGN_KINDS:
+            raise ValueError("missing 'kind'" if kind is None else f"unknown kind {kind!r}")
+        if kind in _PRINTING_KINDS and out is None:
+            raise ValueError("missing 'out'")
         args = parser.parse_args([kind] + [f"--{key}={value}" for key, value in keys.items()])
+        return args.job(args), out
     except ValueError as exc:
-        raise ValueError(f"config error in [{name}]: missing, unknown or malformed key: {exc}") from None
-    return args, out
+        raise ValueError(f"config error in [{name}]: {exc}") from None
 
 
-def run_campaign(config_path: str) -> int:
-    """Run every job in the config; exit severity aggregates job outcomes.
+def _campaign_job(args):
+    """Every section's checked job; running them aggregates their exit codes.
 
-    Every section is parsed before the first job runs.
+    Every section is parsed and its job built before the first job runs.
+    Values are flag values taken literally, so there is no interpolation.
     """
-    config = configparser.ConfigParser()
-    if not config.read(config_path):
-        raise ValueError(f"cannot read config file {config_path!r}")
+    config = configparser.ConfigParser(interpolation=None)
+    try:
+        found = config.read(args.config)
+    except configparser.Error as exc:
+        raise ValueError(f"config error: {exc}") from None
+    if not found:
+        raise ValueError(f"cannot read config file {args.config!r}")
     parser = _build_parser(_SectionParser)
-    jobs = [_parse_section(parser, name, config[name]) for name in config.sections()]
-    codes = []
-    for args, out in jobs:
-        with contextlib.redirect_stdout(io.StringIO()) as printed:
-            codes.append(args.func(args))
-        if out is not None:
-            _write_text(out, printed.getvalue())
-    if 2 in codes:
-        return 2
-    if 3 in codes:
-        return 3
-    return 0
+    jobs = [_section_job(parser, name, config[name]) for name in config.sections()]
+
+    def run() -> int:
+        codes = []
+        for job, out in jobs:
+            with contextlib.redirect_stdout(io.StringIO()) as printed:
+                codes.append(job())
+            if out is not None:
+                _write_text(out, printed.getvalue())
+        # a counterexample outranks an inconclusive search
+        return next((code for code in (2, 3) if code in codes), 0)
+
+    return run
 
 
 # ---------------------------------------------------------------------------
@@ -310,28 +334,28 @@ def _build_parser(parser_class=_Parser) -> _Parser:
     curves.add_argument("--q", type=int, required=True)
     curves.add_argument("--step", type=float, default=0.01)
     curves.add_argument("--out", required=True)
-    curves.set_defaults(func=_cmd_curves)
+    curves.set_defaults(job=_curves_job)
 
     verify = sub.add_parser("verify", help="exhaustively certify a strategy")
     _add_strategy_arguments(verify)
     verify.add_argument("--budget", type=int, default=DEFAULT_NODE_BUDGET)
     verify.add_argument("--out", required=True)
-    verify.set_defaults(func=_cmd_verify)
+    verify.set_defaults(job=_verify_job)
 
     zcap = sub.add_parser("zcap", help="zero-error covering program for a channel")
     zcap.add_argument("--channel", required=True, choices=tuple(_GRAPH_CHANNELS))
     zcap.add_argument("--q", type=int, required=True)
-    zcap.set_defaults(func=_cmd_zcap)
+    zcap.set_defaults(job=_zcap_job)
 
     session = sub.add_parser("session", help="run one feedback session")
     _add_strategy_arguments(session)
     session.add_argument("--message", type=int, required=True)
     session.add_argument("--adversary", default="greedy", help="greedy, passive, or path:y1,y2,...")
-    session.set_defaults(func=_cmd_session)
+    session.set_defaults(job=_session_job)
 
     campaign = sub.add_parser("campaign", help="run a batch config")
     campaign.add_argument("--config", required=True)
-    campaign.set_defaults(func=lambda args: run_campaign(args.config))
+    campaign.set_defaults(job=_campaign_job)
 
     return parser
 
@@ -340,7 +364,7 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        return args.job(args)()
     except (ValueError, OSError) as exc:
         print(f"qfeedback: error: {exc}", file=sys.stderr)
         return 1

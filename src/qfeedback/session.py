@@ -112,14 +112,19 @@ def check_budget(strategy: Strategy, t: int) -> None:
         raise ValueError("error budget exceeds the block length")
 
 
+def check_message(strategy: Strategy, message: int) -> None:
+    """Reject a message index outside the strategy's message set."""
+    if not 0 <= message < strategy.message_count:
+        raise ValueError(f"message {message} out of range for M={strategy.message_count}")
+
+
 def run_session(strategy: Strategy, channel: Channel, adversary: Adversary, message: int, t: int) -> Transcript:
     """Play out one full block and decode it.
 
     Raises ValueError on hard faults: the strategy emitting a symbol outside
     the alphabet, or the adversary choosing an inadmissible output.
     """
-    if not 0 <= message < strategy.message_count:
-        raise ValueError(f"message {message} out of range for M={strategy.message_count}")
+    check_message(strategy, message)
     check_budget(strategy, t)
     symbols = frozenset(channel.symbols)
     n = strategy.block_length

@@ -9,22 +9,30 @@ certified only if every leaf decodes correctly.
 Search order is deterministic: messages ascending, outputs ascending at
 every node, so a reported counterexample is the lexicographically least
 adversary path for the least failing message, and repeated runs agree
-bit for bit.
+bit for bit.  One generator, _game_tree, yields a message's nodes in that
+order; verify_successful and max_errors_survived both consume it, each
+with its own node count, node cap and leaf test.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Iterator, Optional
 
 from .channels import DirectionState
-from .session import Channel, Strategy, Transcript, admissible_outputs, advance_direction, check_budget
+from .session import Channel, Strategy, Transcript, admissible_outputs, advance_direction, check_budget, check_message
 
 DEFAULT_NODE_BUDGET = 10_000_000
 
 
 class NodeBudgetExceeded(RuntimeError):
     """The search hit its node cap before reaching a definite answer."""
+
+
+def check_node_budget(node_budget: int) -> None:
+    """Reject a node cap that would stop the search before its first node."""
+    if node_budget < 1:
+        raise ValueError(f"node budget must be at least 1, got {node_budget}")
 
 
 @dataclass(frozen=True)
@@ -55,72 +63,28 @@ class Verdict:
         return data
 
 
-class _Search:
-    def __init__(
-        self,
-        strategy: Strategy,
-        channel: Channel,
-        node_budget: int,
-        on_transcript: Optional[Callable[[Transcript], None]],
-    ):
-        if node_budget < 1:
-            raise ValueError(f"node budget must be at least 1, got {node_budget}")
-        self.strategy = strategy
-        self.channel = channel
-        self.node_budget = node_budget
-        self.on_transcript = on_transcript
-        self.nodes = 0
-        self.max_depth = 0
+def _game_tree(strategy: Strategy, channel: Channel, m: int, t: int) -> Iterator[tuple]:
+    """Every node of message m's tree as (sent, received, direction).
 
-    def search_message(self, m: int, t: int) -> Optional[tuple]:
-        """First failing (sent, received, decoded) in path order, or None.
-
-        Depth-first over an explicit stack of open nodes, outputs ascending,
-        so deep blocks cannot exhaust the interpreter's recursion limit.
-        """
-        n = self.strategy.block_length
-        encode_step, decode = self.strategy.encode_step, self.strategy.decode
-        sent: list[int] = []
-        received: list[int] = []
-        # one frame per open node on the path: (input x, its outputs not yet tried, budget, direction)
-        frames: list[tuple] = []
-        budget, direction = t, DirectionState.UNDECIDED
-        while True:
-            self.nodes += 1
-            if self.nodes > self.node_budget:
-                raise NodeBudgetExceeded(f"node budget {self.node_budget} exhausted")
-            depth = len(received)
-            if depth > self.max_depth:
-                self.max_depth = depth
-            if depth == n:
-                word = tuple(received)
-                decoded = decode(word)
-                if self.on_transcript is not None:
-                    path = tuple(sent)
-                    errors = tuple(i for i, (a, b) in enumerate(zip(path, word)) if a != b)
-                    self.on_transcript(Transcript(path, word, errors, direction, decoded))
-                if decoded != m:
-                    return (tuple(sent), word, decoded)
-            else:
-                x = encode_step(m, tuple(received))
-                frames.append((x, iter(admissible_outputs(self.channel, x, budget, direction)), budget, direction))
-            # step to the next unvisited node: the next output of the
-            # deepest frame that has one left
-            while True:
-                if not frames:
-                    return None
-                x, outputs, parent_budget, parent_direction = frames[-1]
-                if len(received) == len(frames):
-                    sent.pop()
-                    received.pop()
-                y = next(outputs, None)
-                if y is not None:
-                    break
-                frames.pop()
-            sent.append(x)
-            received.append(y)
-            budget = parent_budget - (1 if y != x else 0)
-            direction = advance_direction(self.channel, parent_direction, x, y)
+    Preorder, outputs ascending, from an explicit stack of pending children
+    (pushed in reverse), so deep blocks cannot exhaust the recursion limit.
+    A node is expanded, its input chosen and checked and its children
+    pushed, only when the consumer asks for the node after it.
+    """
+    n = strategy.block_length
+    symbols = frozenset(channel.symbols)
+    stack = [((), (), t, DirectionState.UNDECIDED)]
+    while stack:
+        sent, received, budget, direction = stack.pop()
+        yield sent, received, direction
+        if len(received) == n:
+            continue
+        x = strategy.encode_step(m, received)
+        if x not in symbols:
+            raise ValueError(f"strategy emitted {x}, not a channel symbol")
+        sent += (x,)
+        for y in reversed(admissible_outputs(channel, x, budget, direction)):
+            stack.append((sent, received + (y,), budget - (y != x), advance_direction(channel, direction, x, y)))
 
 
 def verify_successful(
@@ -136,24 +100,26 @@ def verify_successful(
     yields the distinct outcome "inconclusive".
     """
     check_budget(strategy, t)
-    search = _Search(strategy, channel, node_budget, on_transcript)
+    check_node_budget(node_budget)
+    n = strategy.block_length
+    nodes = max_depth = 0
     for m in range(strategy.message_count):
-        try:
-            result = search.search_message(m, t)
-        except NodeBudgetExceeded:
-            return Verdict("inconclusive", nodes=search.nodes, max_depth=search.max_depth)
-        if result is not None:
-            sent, received, decoded = result
-            return Verdict(
-                "counterexample",
-                message=m,
-                sent=sent,
-                received=received,
-                decoded=decoded,
-                nodes=search.nodes,
-                max_depth=search.max_depth,
-            )
-    return Verdict("success", nodes=search.nodes, max_depth=search.max_depth)
+        for sent, received, direction in _game_tree(strategy, channel, m, t):
+            nodes += 1
+            if nodes > node_budget:
+                return Verdict("inconclusive", nodes=nodes, max_depth=max_depth)
+            depth = len(received)
+            if depth > max_depth:
+                max_depth = depth
+            if depth < n:
+                continue
+            decoded = strategy.decode(received)
+            if on_transcript is not None:
+                errors = tuple(i for i, (a, b) in enumerate(zip(sent, received)) if a != b)
+                on_transcript(Transcript(sent, received, errors, direction, decoded))
+            if decoded != m:
+                return Verdict("counterexample", m, sent, received, decoded, nodes, max_depth)
+    return Verdict("success", nodes=nodes, max_depth=max_depth)
 
 
 def max_errors_survived(
@@ -164,15 +130,19 @@ def max_errors_survived(
 ) -> int:
     """Largest budget t for which the given message always decodes.
 
-    Raises NodeBudgetExceeded if the cumulative search is cut off, rather
-    than returning a number that nothing certifies.
+    The node budget covers the whole scan over t.  Raises
+    NodeBudgetExceeded if the search is cut off, rather than returning a
+    number that nothing certifies.
     """
-    if not 0 <= message < strategy.message_count:
-        raise ValueError(f"message {message} out of range for M={strategy.message_count}")
-    search = _Search(strategy, channel, node_budget, None)
-    best = -1
-    for t in range(strategy.block_length + 1):
-        if search.search_message(message, t) is not None:
-            break
-        best = t
-    return best
+    check_message(strategy, message)
+    check_node_budget(node_budget)
+    n = strategy.block_length
+    nodes = 0
+    for t in range(n + 1):
+        for _, received, _ in _game_tree(strategy, channel, message, t):
+            nodes += 1
+            if nodes > node_budget:
+                raise NodeBudgetExceeded(f"node budget {node_budget} exhausted")
+            if len(received) == n and strategy.decode(received) != message:
+                return t - 1
+    return n

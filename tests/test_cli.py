@@ -379,6 +379,56 @@ out = {tmp_path}/b.json
     assert not (tmp_path / "b.json").exists()
 
 
+VERIFY_IDENTITY = "kind = verify\nstrategy = identity\nq = 2\nn = 2\nout = {d}/b.json\n"
+SESSION_IDENTITY = "kind = session\nstrategy = identity\nq = 2\nt = 1\nout = {d}/b.json\n"
+
+
+@pytest.mark.parametrize(
+    "section",
+    [
+        pytest.param("kind = verify\nstrategy = modified_rubber\nq = 2\nn = 6\nt = 1\nout = {d}/b.json", id="missing-r"),
+        pytest.param(VERIFY_IDENTITY + "t = 3", id="t-above-n"),
+        pytest.param(VERIFY_IDENTITY + "t = 1\nbudget = 0", id="budget-0"),
+        pytest.param(SESSION_IDENTITY + "n = 3\nmessage = 1\nadversary = path:0,1", id="path-length"),
+        pytest.param(SESSION_IDENTITY + "n = 2\nmessage = 4", id="message-range"),
+        pytest.param("kind = curves\nq = 1\nout = {d}/b.csv", id="curves-q-1"),
+        pytest.param("kind = zcap\nchannel = z\nq = 1\nout = {d}/b.json", id="zcap-q-1"),
+    ],
+)
+def test_campaign_checks_every_job_before_running_any(tmp_path, capsys, section):
+    config = tmp_path / "jobs.ini"
+    config.write_text(f"[a]\nkind = curves\nq = 3\nout = {tmp_path}/a.csv\n\n[b]\n" + section.format(d=tmp_path) + "\n")
+    assert main(["campaign", "--config", str(config)]) == 1
+    assert "config error in [b]" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["jobs.ini"]
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        pytest.param("[a]\nkind = curves\nq = 3\nq = 4\nout = {d}/a.csv\n", id="duplicate-key"),
+        pytest.param(
+            "[a]\nkind = curves\nq = 3\nout = {d}/a.csv\n\n[a]\nkind = curves\nq = 2\nout = {d}/b.csv\n",
+            id="duplicate-section",
+        ),
+        pytest.param("kind = curves\nq = 3\nout = {d}/a.csv\n", id="missing-header"),
+    ],
+)
+def test_campaign_unparsable_config_is_config_error(tmp_path, capsys, text):
+    config = tmp_path / "jobs.ini"
+    config.write_text(text.format(d=tmp_path))
+    assert main(["campaign", "--config", str(config)]) == 1
+    assert "qfeedback: error: config error" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["jobs.ini"]
+
+
+def test_campaign_values_are_literal(tmp_path):
+    config = tmp_path / "jobs.ini"
+    config.write_text(f"[a]\nkind = curves\nq = 3\nstep = 0.25\nout = {tmp_path}/o/100%.csv\n")
+    assert main(["campaign", "--config", str(config)]) == 0
+    assert (tmp_path / "o" / "100%.csv").read_text().startswith("tau,value,curve\n")
+
+
 def test_campaign_unknown_key_is_config_error(tmp_path, capsys):
     config = tmp_path / "jobs.ini"
     config.write_text(f"[job]\nkind = curves\nq = 3\nworkers = 2\nout = {tmp_path}/c.csv\n")

@@ -1,8 +1,10 @@
+from dataclasses import replace
+
 import pytest
 
 from qfeedback.bounds import sphere_packing_message_bound
 from qfeedback.channels import DirectionState, make_unidirectional_pair, make_z_channel
-from qfeedback.session import PathAdversary, admissible_outputs, advance_direction, run_session
+from qfeedback.session import PathAdversary, Strategy, admissible_outputs, advance_direction, run_session
 from qfeedback.strategies import (
     identity_strategy,
     modified_rubber_strategy,
@@ -90,6 +92,41 @@ def test_node_budget_below_one_is_rejected():
             verify_successful(s, make_z_channel(2), 1, node_budget=node_budget)
         with pytest.raises(ValueError):
             max_errors_survived(s, make_z_channel(2), 0, node_budget=node_budget)
+
+
+def test_node_budget_boundary_is_exact():
+    s = modified_rubber_strategy(2, 2, "z", 6, 1)
+    ch = make_z_channel(2)
+    tree = verify_successful(s, ch, 1).nodes
+    assert verify_successful(s, ch, 1, node_budget=tree).outcome == "success"
+    cut = verify_successful(s, ch, 1, node_budget=tree - 1)
+    assert (cut.outcome, cut.nodes) == ("inconclusive", tree)
+
+
+def test_max_errors_survived_budget_is_cumulative_over_t():
+    s = zero_error_unidirectional_strategy(3, 3)
+    pair = make_unidirectional_pair(3)
+    # message 0's tree for each budget t = 0..n, all of which it survives
+    trees = [verify_successful(replace(s, message_count=1), pair, t).nodes for t in range(4)]
+    assert max_errors_survived(s, pair, 0, node_budget=sum(trees)) == 3
+    for node_budget in (sum(trees) - 1, max(trees)):
+        with pytest.raises(NodeBudgetExceeded):
+            max_errors_survived(s, pair, 0, node_budget=node_budget)
+
+
+BAD_SYMBOL_STRATEGY = Strategy("bad", 2, 1, 2, lambda m, y: 7, lambda y: 0)
+
+
+@pytest.mark.parametrize("t", [0, 1])
+def test_non_channel_symbols_are_rejected_at_every_budget(t):
+    for channel in (make_z_channel(2), make_unidirectional_pair(2)):
+        with pytest.raises(ValueError, match="strategy emitted 7, not a channel symbol"):
+            verify_successful(BAD_SYMBOL_STRATEGY, channel, t)
+        with pytest.raises(ValueError, match="strategy emitted 7, not a channel symbol"):
+            max_errors_survived(BAD_SYMBOL_STRATEGY, channel, 0)
+    lying = replace(identity_strategy(3, 2), encode_step=lambda m, p: 7, decode=lambda y: 0, message_count=1)
+    with pytest.raises(ValueError, match="not a channel symbol"):
+        verify_successful(lying, make_z_channel(3), 0)
 
 
 def test_unidirectional_certification_small():
