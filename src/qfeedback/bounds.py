@@ -1,9 +1,13 @@
 """Capacity bounds and the quantities behind them.
 
 Rates are measured in base-q logarithm units throughout: 1.0 means one
-alphabet symbol of information per channel use.  The zero-error linear
-program is solved in exact rational arithmetic; everything else is plain
-float evaluation of closed forms.
+alphabet symbol of information per channel use.  Everything is plain
+float evaluation of closed forms except the zero-error linear program,
+which is solved in exact rational arithmetic.  It is solved in its packing
+form (maximize sum(x) subject to at most unit x-mass reaching each output,
+x >= 0), whose origin is a feasible basis, so one simplex phase suffices:
+no artificial variables, no feasibility phase.  The self-loops every
+channel graph carries keep that program bounded.
 """
 
 from __future__ import annotations
@@ -39,79 +43,39 @@ def binary_entropy(x: float) -> float:
 # Zero-error capacity via an exact linear program
 
 
-def _exact_simplex(A: list[list[Fraction]], b: list[Fraction], c: list[Fraction]) -> tuple[Fraction, list[Fraction]]:
-    """Minimize c.x subject to A x = b, x >= 0, everything rational.
+def _max_packing(rows: list[list[Fraction]]) -> Fraction:
+    """Maximize the sum of the first n variables over the tableau rows.
 
-    Two-phase tableau simplex with Bland's rule (lowest index entering,
-    lowest basis index on ratio ties), which cannot cycle on the degenerate
-    bases these covering programs produce.  Assumes a feasible, bounded
-    program; raises ArithmeticError otherwise.
+    Row j is [a_j | e_j | 1]: a 0/1 packing constraint a_j.x <= 1 on the n
+    structural variables, then its slack's unit column, then the right-hand
+    side.  x = 0 with every slack basic is feasible, so the simplex starts
+    there directly.  Every structural variable has coefficient 1 in some
+    row, so it is at most 1: the program is bounded, and every entering
+    column has a leaving row.  Bland's rule (lowest index entering, lowest
+    basis index on ratio ties) keeps these degenerate bases from cycling.
     """
-    m = len(A)
-    n = len(A[0])
-    for r in range(m):
-        if b[r] < 0:
-            A[r] = [-x for x in A[r]]
-            b[r] = -b[r]
-    total = n + m
-    T: list[list[Fraction]] = []
-    for r in range(m):
-        row = [Fraction(x) for x in A[r]] + [Fraction(0)] * m + [Fraction(b[r])]
-        row[n + r] = Fraction(1)
-        T.append(row)
-    basis = list(range(n, n + m))
-
-    def pivot(pr: int, pc: int) -> None:
-        pv = T[pr][pc]
-        T[pr] = [x / pv for x in T[pr]]
-        for rr in range(m):
-            if rr != pr and T[rr][pc] != 0:
-                f = T[rr][pc]
-                T[rr] = [a - f * p for a, p in zip(T[rr], T[pr])]
-        basis[pr] = pc
-
-    def optimize(cost: list[Fraction], limit: int) -> None:
-        while True:
-            reduced = list(cost)
-            for r in range(m):
-                cb = cost[basis[r]]
-                if cb != 0:
-                    row = T[r]
-                    for j in range(total):
-                        reduced[j] -= cb * row[j]
-            enter = next((j for j in range(limit) if reduced[j] < 0), None)
-            if enter is None:
-                return
-            leave = None
-            best = None
-            for r in range(m):
-                a = T[r][enter]
-                if a > 0:
-                    ratio = T[r][-1] / a
-                    if best is None or ratio < best or (ratio == best and basis[r] < basis[leave]):
-                        best = ratio
-                        leave = r
-            if leave is None:
-                raise ArithmeticError("linear program is unbounded")
-            pivot(leave, enter)
-
-    phase1 = [Fraction(0)] * n + [Fraction(1)] * m
-    optimize(phase1, total)
-    if any(basis[r] >= n and T[r][-1] != 0 for r in range(m)):
-        raise ArithmeticError("linear program is infeasible")
-    for r in range(m):
-        if basis[r] >= n:
-            col = next((j for j in range(n) if T[r][j] != 0), None)
-            if col is not None:
-                pivot(r, col)
-    phase2 = list(c) + [Fraction(0)] * m
-    optimize(phase2, n)
-    x = [Fraction(0)] * n
-    for r in range(m):
-        if basis[r] < n:
-            x[basis[r]] = T[r][-1]
-    value = sum((ci * xi for ci, xi in zip(c, x)), Fraction(0))
-    return value, x
+    n = len(rows)
+    basis = list(range(n, 2 * n))
+    # Reduced costs of the maximization, then the objective value.
+    objective = [Fraction(-1)] * n + [Fraction(0)] * (n + 1)
+    while True:
+        enter = next((j for j in range(2 * n) if objective[j] < 0), None)
+        if enter is None:
+            return objective[-1]
+        leave = best = None
+        for r, row in enumerate(rows):
+            if row[enter] > 0:
+                ratio = row[-1] / row[enter]
+                if leave is None or ratio < best or (ratio == best and basis[r] < basis[leave]):
+                    leave, best = r, ratio
+        pivot = rows[leave]
+        scale = pivot[enter]
+        pivot[:] = [x / scale for x in pivot]
+        for row in rows + [objective]:
+            f = row[enter]
+            if row is not pivot and f != 0:
+                row[:] = [a - f * p if p else a for a, p in zip(row, pivot)]
+        basis[leave] = enter
 
 
 def min_max_output_mass(g: ChannelGraph) -> Fraction:
@@ -119,31 +83,19 @@ def min_max_output_mass(g: ChannelGraph) -> Fraction:
 
     Minimize, over input distributions P, the largest total mass of inputs
     that can reach a single output symbol.  Capacity 0 shows up as value 1.
+    Solved as the packing program max sum(x) subject to, for every output,
+    the x-mass of the inputs reaching it being at most 1; x = P / value
+    maps one optimum onto the other, so the value is 1 / the packing optimum.
     """
     symbols = sorted(g.symbols)
     index = {s: i for i, s in enumerate(symbols)}
-    s = len(symbols)
-    ncols = s + 1 + s  # P per input, v, one slack per output row
-    A: list[list[Fraction]] = []
-    b: list[Fraction] = []
-    for j, out in enumerate(symbols):
-        row = [Fraction(0)] * ncols
-        for (i, jj) in g.edges:
-            if jj == out:
-                row[index[i]] = Fraction(1)
-        row[s] = Fraction(-1)
-        row[s + 1 + j] = Fraction(1)
-        A.append(row)
-        b.append(Fraction(0))
-    row = [Fraction(0)] * ncols
-    for i in range(s):
-        row[i] = Fraction(1)
-    A.append(row)
-    b.append(Fraction(1))
-    cost = [Fraction(0)] * ncols
-    cost[s] = Fraction(1)
-    value, _ = _exact_simplex(A, b, cost)
-    return value
+    n = len(symbols)
+    rows = [[Fraction(0)] * (2 * n) + [Fraction(1)] for _ in range(n)]
+    for r in range(n):
+        rows[r][n + r] = Fraction(1)
+    for i, j in g.edges:
+        rows[index[j]][index[i]] = Fraction(1)
+    return 1 / _max_packing(rows)
 
 
 def zero_error_capacity(g: ChannelGraph) -> float:

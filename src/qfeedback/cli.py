@@ -266,7 +266,8 @@ _PRINTING_KINDS = ("zcap", "session")
 
 
 def _section_job(parser: _SectionParser, name: str, section) -> tuple:
-    """(checked job, out file for printed output or None) for one section.
+    """(checked job, out file for printed output or None, every file the job
+    writes) for one section.
 
     Every key but kind is the subcommand's flag of the same name.
     """
@@ -279,7 +280,10 @@ def _section_job(parser: _SectionParser, name: str, section) -> tuple:
         if kind in _PRINTING_KINDS and out is None:
             raise ValueError("missing 'out'")
         args = parser.parse_args([kind] + [f"--{key}={value}" for key, value in keys.items()])
-        return args.job(args), out
+        written = [out] if out is not None else [args.out]
+        if kind == "verify":
+            written.append(args.out + ".log")
+        return args.job(args), out, written
     except ValueError as exc:
         raise ValueError(f"config error in [{name}]: {exc}") from None
 
@@ -289,6 +293,7 @@ def _campaign_job(args):
 
     Every section is parsed and its job built before the first job runs.
     Values are flag values taken literally, so there is no interpolation.
+    A config with no job, or two jobs writing the same file, is an error.
     """
     config = configparser.ConfigParser(interpolation=None)
     try:
@@ -297,8 +302,18 @@ def _campaign_job(args):
         raise ValueError(f"config error: {exc}") from None
     if not found:
         raise ValueError(f"cannot read config file {args.config!r}")
+    if not config.sections():
+        raise ValueError(f"config error: {args.config!r} has no job sections")
     parser = _build_parser(_SectionParser)
-    jobs = [_section_job(parser, name, config[name]) for name in config.sections()]
+    jobs = []
+    writers = {}
+    for name in config.sections():
+        job, out, written = _section_job(parser, name, config[name])
+        for path in map(os.path.abspath, written):
+            if path in writers:
+                raise ValueError(f"config error in [{name}]: {path!r} is also written by [{writers[path]}]")
+            writers[path] = name
+        jobs.append((job, out))
 
     def run() -> int:
         codes = []

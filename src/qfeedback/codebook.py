@@ -14,7 +14,6 @@ prefix reaches a run of the forbidden length.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Optional, Sequence
 
 State = tuple[Optional[int], int]
@@ -85,32 +84,49 @@ def _step(forbidden: tuple[tuple[int, int], ...], state: State, symbol: int) -> 
     return (symbol, run)
 
 
-@lru_cache(maxsize=None)
-def _suffix_count(q: int, forbidden: tuple[tuple[int, int], ...], length: int, state: State) -> int:
-    if length == 0:
-        return 1
-    # Unreserved symbols all lead to the same reset state.
-    total = (q - len(forbidden)) * _suffix_count(q, forbidden, length - 1, _START)
-    for s, _ in forbidden:
-        nxt = _step(forbidden, state, s)
-        if nxt is not None:
-            total += _suffix_count(q, forbidden, length - 1, nxt)
-    return total
+# (q, forbidden) -> table, where table[L][state] is the number of valid
+# continuations of length L from state.  Rows are appended on demand.
+_SUFFIX_TABLES: dict[tuple[int, tuple[tuple[int, int], ...]], list[dict[State, int]]] = {}
+
+
+def _suffix_counts(q: int, forbidden: tuple[tuple[int, int], ...], length: int) -> list[dict[State, int]]:
+    """The suffix-count table for (q, forbidden), with rows 0..length at least.
+
+    Built bottom-up, one row from the one before, so long blocks cost no
+    recursion depth.
+    """
+    table = _SUFFIX_TABLES.get((q, forbidden))
+    if table is None:
+        states = [_START] + [(s, k) for s, r in forbidden for k in range(1, r)]
+        table = _SUFFIX_TABLES[(q, forbidden)] = [dict.fromkeys(states, 1)]
+    while len(table) <= length:
+        prev = table[-1]
+        # Unreserved symbols all lead to the same reset state.
+        free = (q - len(forbidden)) * prev[_START]
+        row = dict.fromkeys(prev, free)
+        for state in prev:
+            for s, _ in forbidden:
+                nxt = _step(forbidden, state, s)
+                if nxt is not None:
+                    row[state] += prev[nxt]
+        table.append(row)
+    return table
 
 
 def count(constraint, length: int) -> int:
     """Exact number of valid strings of the given length."""
     if length < 0:
         raise ValueError("length must be nonnegative")
-    return _suffix_count(constraint.q, constraint.forbidden_runs(), length, _START)
+    return _suffix_counts(constraint.q, constraint.forbidden_runs(), length)[length][_START]
 
 
 def is_valid(constraint, word: Sequence[int]) -> bool:
+    forbidden = constraint.forbidden_runs()
     state: Optional[State] = _START
     for symbol in word:
         if not 0 <= symbol < constraint.q:
             return False
-        state = _step(constraint.forbidden_runs(), state, symbol)
+        state = _step(forbidden, state, symbol)
         if state is None:
             return False
     return True
@@ -120,16 +136,17 @@ def rank(constraint, word: Sequence[int]) -> int:
     """Lexicographic index of a valid word among all valid words of its length."""
     q = constraint.q
     forbidden = constraint.forbidden_runs()
+    table = _suffix_counts(q, forbidden, len(word))
     state: State = _START
     idx = 0
     for pos, symbol in enumerate(word):
         if not 0 <= symbol < q:
             raise ValueError(f"symbol {symbol} outside alphabet of size {q}")
-        remaining = len(word) - pos - 1
+        below = table[len(word) - pos - 1]
         for lower in range(symbol):
             nxt = _step(forbidden, state, lower)
             if nxt is not None:
-                idx += _suffix_count(q, forbidden, remaining, nxt)
+                idx += below[nxt]
         nxt = _step(forbidden, state, symbol)
         if nxt is None:
             raise ValueError("word violates the run constraint")
@@ -144,20 +161,21 @@ def unrank(constraint, length: int, idx: int) -> tuple[int, ...]:
         raise ValueError(f"index {idx} out of range for {total} words")
     q = constraint.q
     forbidden = constraint.forbidden_runs()
+    table = _suffix_counts(q, forbidden, length)
     state: State = _START
     word = []
     for pos in range(length):
-        remaining = length - pos - 1
+        below = table[length - pos - 1]
         for symbol in range(q):
             nxt = _step(forbidden, state, symbol)
             if nxt is None:
                 continue
-            below = _suffix_count(q, forbidden, remaining, nxt)
-            if idx < below:
+            continuations = below[nxt]
+            if idx < continuations:
                 word.append(symbol)
                 state = nxt
                 break
-            idx -= below
+            idx -= continuations
         else:
             raise AssertionError("ran out of symbols while unranking")
     return tuple(word)

@@ -7,6 +7,7 @@ the simplex implementation under test.
 
 import itertools
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -24,6 +25,7 @@ from qfeedback.bounds import (
     zero_error_capacity,
 )
 from qfeedback.channels import (
+    ChannelGraph,
     make_inverse_z_channel,
     make_star_channel,
     make_symmetric_channel,
@@ -95,8 +97,27 @@ def test_lp_matches_vertex_enumeration(factory, q):
     assert min_max_output_mass(g) == oracle_min_max_mass(g)
 
 
+def test_lp_matches_vertex_enumeration_on_random_graphs():
+    rng = random.Random(20)
+    for k in range(30):
+        s = 2 + k % 3
+        # three loop-only graphs, three complete ones, then random densities
+        density = 0.0 if k < 3 else 1.0 if k < 6 else rng.random()
+        edges = {(i, j) for i in range(s) for j in range(s) if i == j or rng.random() < density}
+        g = ChannelGraph("random", s, tuple(range(s)), frozenset(edges))
+        assert min_max_output_mass(g) == oracle_min_max_mass(g), sorted(edges)
+
+
+def test_lp_optimum_needs_a_slack_to_reenter():
+    # a seeded random 6-symbol graph; vertex enumeration gives 2/3 (in about
+    # a second), a simplex that never lets a slack re-enter stops at 1
+    outputs = {0: (1, 2, 3, 4, 5), 1: (0, 2, 3, 4), 2: (3, 4, 5), 3: (1, 4), 4: (0, 2), 5: (1, 2, 3)}
+    edges = {(i, i) for i in outputs} | {(i, j) for i, js in outputs.items() for j in js}
+    assert min_max_output_mass(ChannelGraph("six", 6, tuple(outputs), frozenset(edges))) == Fraction(2, 3)
+
+
 def test_z_channel_mass_closed_form():
-    for q in range(2, 9):
+    for q in range(2, 25):
         assert min_max_output_mass(make_z_channel(q)) == Fraction(1, (q + 1) // 2)
 
 

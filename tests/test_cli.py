@@ -201,6 +201,22 @@ def test_zcap_output(capsys):
     assert f"{mass.numerator}/{mass.denominator}" == "1/3"
 
 
+ZCAP_Q24 = {
+    "z": ("1/12", 0.7818957080144684, 24),
+    "invz": ("1/12", 0.7818957080144684, 24),
+    "sym": ("1/1", 0.0, 24),
+    "star": ("1/12", 0.7719796553163858, 25),
+}
+
+
+@pytest.mark.parametrize("channel", sorted(ZCAP_Q24))
+def test_zcap_q24_reports_are_pinned(capsys, channel):
+    mass, capacity, size = ZCAP_Q24[channel]
+    assert main(["zcap", "--channel", channel, "--q", "24"]) == 0
+    report = {"alphabet_size": size, "capacity": capacity, "channel": channel, "min_max_output_mass": mass, "q": 24}
+    assert capsys.readouterr().out == json.dumps(report, indent=2, sort_keys=True) + "\n"
+
+
 def test_session_trace_output(capsys):
     code = main(
         [
@@ -220,6 +236,14 @@ def test_session_trace_output(capsys):
         "direction": "undecided",
         "decoded": 3,
     }
+
+
+def test_session_with_a_long_block_decodes(capsys):
+    args = ["--strategy", "modified_rubber", "--q", "3", "--r", "2", "--n", "1500", "--t", "1"]
+    assert main(["session"] + args + ["--message", "123456789", "--adversary", "passive"]) == 0
+    trace = json.loads(capsys.readouterr().out)
+    assert len(trace["y"]) == 1500
+    assert trace["decoded"] == 123456789
 
 
 def test_session_decode_failure_exits_two(capsys):
@@ -419,6 +443,35 @@ def test_campaign_unparsable_config_is_config_error(tmp_path, capsys, text):
     config.write_text(text.format(d=tmp_path))
     assert main(["campaign", "--config", str(config)]) == 1
     assert "qfeedback: error: config error" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["jobs.ini"]
+
+
+@pytest.mark.parametrize("text", [pytest.param("", id="empty"), pytest.param("[DEFAULT]\nq = 3\n", id="defaults-only")])
+def test_campaign_without_jobs_is_config_error(tmp_path, capsys, text):
+    config = tmp_path / "jobs.ini"
+    config.write_text(text)
+    assert main(["campaign", "--config", str(config)]) == 1
+    assert "no job sections" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "first,second",
+    [
+        pytest.param(
+            "kind = curves\nq = 3\nout = {d}/same.csv", "kind = curves\nq = 2\nout = {d}/sub/../same.csv", id="same-out"
+        ),
+        pytest.param(
+            "kind = verify\nstrategy = identity\nq = 2\nn = 2\nt = 0\nout = {d}/r.json",
+            "kind = curves\nq = 2\nout = {d}/r.json.log",
+            id="verify-sidecar",
+        ),
+    ],
+)
+def test_campaign_jobs_must_not_share_an_output(tmp_path, capsys, first, second):
+    config = tmp_path / "jobs.ini"
+    config.write_text(f"[a]\n{first}\n\n[b]\n{second}\n".format(d=tmp_path))
+    assert main(["campaign", "--config", str(config)]) == 1
+    assert "config error in [b]" in capsys.readouterr().err
     assert sorted(p.name for p in tmp_path.iterdir()) == ["jobs.ini"]
 
 

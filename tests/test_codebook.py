@@ -160,3 +160,13 @@ def test_growth_estimate_consistent_with_root_finder(q, r):
     # tighter in log scale, which is what the rate bounds use
     got = math.log(count(c, 60)) / 60
     assert abs(got - math.log(z)) < 0.02
+
+
+@pytest.mark.parametrize("q", [3, 4])
+def test_long_blocks_count_without_recursion(q):
+    # no r = 1 string contains a reserved symbol at all
+    assert count(RunConstraint(q, 0, 1), 3000) == (q - 1) ** 3000
+    assert count(DualRunConstraint(q, 0, q - 1, 1), 3000) == (q - 2) ** 3000
+    c = RunConstraint(q, q - 1, 2)
+    word = unrank(c, 3000, 10**100)
+    assert is_valid(c, word) and rank(c, word) == 10**100
