@@ -40,6 +40,7 @@ from .codebook import (
 from .session import (
     Adversary,
     GreedyAdversary,
+    MemoKey,
     PassiveAdversary,
     PathAdversary,
     Strategy,
@@ -57,9 +58,7 @@ from .strategies import (
 )
 from .verifier import (
     DEFAULT_NODE_BUDGET,
-    NodeBudgetExceeded,
     Verdict,
-    max_errors_survived,
     verify_successful,
 )
 
@@ -73,7 +72,7 @@ __all__ = [
     "DirectionState",
     "DualRunConstraint",
     "GreedyAdversary",
-    "NodeBudgetExceeded",
+    "MemoKey",
     "PassiveAdversary",
     "PathAdversary",
     "RunConstraint",
@@ -95,7 +94,6 @@ __all__ = [
     "make_symmetric_channel",
     "make_unidirectional_pair",
     "make_z_channel",
-    "max_errors_survived",
     "min_max_output_mass",
     "modified_rubber_bound",
     "modified_rubber_strategy",

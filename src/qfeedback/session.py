@@ -10,11 +10,28 @@ between sessions, so any prefix can be replayed exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Protocol, Sequence, Union
+from typing import Callable, Hashable, NamedTuple, Optional, Protocol, Sequence, Union
 
 from .channels import ChannelGraph, DirectionState, UnidirectionalChannel
 
 Channel = Union[ChannelGraph, UnidirectionalChannel]
+
+
+class MemoKey(NamedTuple):
+    """A sender key, declared for one pair of encode_step and decode.
+
+    key(message, received prefix, direction) returns a hashable summary of
+    the sender's state at that node of the game tree, or None where the
+    strategy vouches for no summary.  Soundness: within one message, two
+    nodes with equal keys at the same depth, budget left and channel
+    direction must root identical subtrees (the same inputs, the same
+    outputs and the same decode at every leaf), so that one proof of
+    safety, and one node count, serves both.
+    """
+
+    encode_step: Callable[[int, tuple[int, ...]], int]
+    decode: Callable[[tuple[int, ...]], int]
+    key: Callable[[int, tuple[int, ...], DirectionState], Optional[Hashable]]
 
 
 @dataclass(frozen=True)
@@ -24,6 +41,17 @@ class Strategy:
     encode_step maps (message, received prefix) to the next input symbol and
     must depend on nothing else; decode maps a full received word to a
     message and sees no feedback-side state.
+
+    memo_key, when given, turns on the verifier's transposition table for
+    this strategy, with no further flag: each subtree is proven safe once
+    per sender key, and a repeat adds the stored node count, so a
+    verdict's nodes still counts the whole tree (see MemoKey, and the
+    verifier module for the walk).  Each strategy that declares a key
+    states in its docstring why the key is sound.  The key holds only for
+    the encode_step and decode it was declared with: a copy whose
+    encode_step or decode was replaced (by dataclasses.replace, say) gets
+    the plain walk, as does any verification given an on_transcript
+    callback.  None, the default, always means the plain walk.
     """
 
     name: str
@@ -32,6 +60,7 @@ class Strategy:
     block_length: int
     encode_step: Callable[[int, tuple[int, ...]], int]
     decode: Callable[[tuple[int, ...]], int]
+    memo_key: Optional[MemoKey] = None
 
 
 @dataclass(frozen=True)

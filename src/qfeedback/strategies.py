@@ -18,7 +18,9 @@ prefix) alone, which is what makes exhaustive game-tree search possible.
 The rubber encoders get there incrementally.  Their sender state (codeword,
 phase, receiver stack) is immutable, and one step costs one feed of the
 received symbol; encode_step is the fold of those steps over the prefix,
-memoised along the last prefix asked for (see _path_memo_encoder).
+memoised along the last prefix asked for (see _path_memo_encoder).  The
+two rubber schemes also declare that state as the verifier's memo key
+(session.MemoKey); each builder's docstring gives the soundness argument.
 """
 
 from __future__ import annotations
@@ -26,8 +28,9 @@ from __future__ import annotations
 import enum
 from typing import Callable, NamedTuple, Optional, Sequence
 
+from .channels import DirectionState
 from .codebook import DualRunConstraint, RunConstraint, count, is_valid, rank, unrank
-from .session import Strategy
+from .session import MemoKey, Strategy
 
 
 def _push(stack: tuple[int, ...], y: int, *, rubber: int, correction: int, run_length: int) -> tuple[int, ...]:
@@ -55,14 +58,16 @@ def rubber_stack_parse(symbols: Sequence[int], *, rubber: int, correction: int, 
 
 
 def _path_memo_encoder(start: Callable[[int], object], feed: Callable[[object, int], object], emit: Callable[[object], int]):
-    """encode_step(m, prefix) = emit(the fold of feed over prefix from start(m)).
+    """(encode_step, state_at): state_at(m, prefix) is the fold of feed over
+    prefix from start(m), and encode_step(m, prefix) = emit(state_at(m, prefix)).
 
-    The states along the last prefix asked for are kept.  A call whose
-    prefix extends that path, or branches off it at its last symbol (a
-    DFS child or sibling, the next session step, the next replay
-    position), costs one feed; any other call folds from start(m).  The
-    memo is checked against (m, prefix) on every call, so encode_step
-    stays a function of its arguments alone.  The memo is not locked:
+    The states along the last prefix asked for are kept.  Asking for that
+    same prefix object again costs nothing (the verifier reads a node's
+    key, then its input); a prefix that extends the path, or branches off
+    it at its last symbol (a DFS child or sibling, the next session step,
+    the next replay position), costs one feed; any other prefix folds from
+    start(m).  The memo is checked against (m, prefix) on every call, so
+    both stay functions of their arguments alone.  The memo is not locked:
     give each thread its own strategy.
     """
     memo_m: Optional[int] = None
@@ -70,20 +75,25 @@ def _path_memo_encoder(start: Callable[[int], object], feed: Callable[[object, i
     # states[i] is the state after path[:i], for every i < len(states)
     states: list = []
 
-    def encode_step(m: int, received_prefix: tuple[int, ...]) -> int:
+    def state_at(m: int, received_prefix: tuple[int, ...]):
         nonlocal memo_m, path
         prefix = tuple(received_prefix)
         if m != memo_m:
             memo_m, path, states[:] = m, (), [start(m)]
+        elif prefix is path:
+            return states[-1]
         j = len(prefix) - 1
         keep = j if 0 < j < len(states) and prefix[:j] == path[:j] else 0
         del states[keep + 1 :]
         path = prefix
         for y in prefix[keep:]:
             states.append(feed(states[-1], y))
-        return emit(states[-1])
+        return states[-1]
 
-    return encode_step
+    def encode_step(m: int, received_prefix: tuple[int, ...]) -> int:
+        return emit(state_at(m, received_prefix))
+
+    return encode_step, state_at
 
 
 def _automaton_next(w: tuple[int, ...], stack: tuple[int, ...], rubber: int, fill: int) -> int:
@@ -137,6 +147,14 @@ def modified_rubber_strategy(q: int, r: int, side: str, n: int, t: int) -> Strat
     r-run of the rubber symbol, so a corrupted info symbol can never be
     mistaken for rubber by the adversary's doing, and every error costs
     exactly r extra positions.
+
+    Memo key: the sender state (codeword, receiver stack), on every
+    channel.  The next input is emit(state) and the next state is
+    feed(state, y), so the state fixes every input below the node; decode
+    ranks the parse of the whole received word, and that parse is the
+    stack after the node, pushed with the symbols delivered below it.  So
+    equal states at equal depth, budget and direction root identical
+    subtrees.
     """
     if q < 2:
         raise ValueError(f"alphabet size must be at least 2, got {q}")
@@ -170,13 +188,19 @@ def modified_rubber_strategy(q: int, r: int, side: str, n: int, t: int) -> Strat
         stack = rubber_stack_parse(received, **convention)
         return _decode_word(constraint, stack[:k], message_count)
 
+    encode_step, state_at = _path_memo_encoder(start, feed, emit)
+
+    def sender_key(m: int, received: tuple[int, ...], direction: DirectionState) -> RubberState:
+        return state_at(m, received)
+
     return Strategy(
         name=f"modified_rubber(q={q},r={r},side={side},n={n},t={t})",
         q=q,
         message_count=message_count,
         block_length=n,
-        encode_step=_path_memo_encoder(start, feed, emit),
+        encode_step=encode_step,
         decode=decode,
+        memo_key=MemoKey(encode_step, decode, sender_key),
     )
 
 
@@ -275,6 +299,16 @@ def unidirectional_rubber_strategy(q: int, r: int, n: int, t: int) -> Strategy:
     convention".  Both flags are immune to their committed channel; a
     clean block's flag 0 can only be corrupted to 1, which tells the
     receiver the prefix is verbatim.
+
+    Memo key: the sender state, at two kinds of node only.  With no error
+    yet, the received prefix is the clean prefix, fixed by (codeword,
+    position).  With the channel's direction committed, the flag is
+    immune, so decode applies the committed phase's parse, whose stack the
+    state holds.  Either way the state fixes every input below the node
+    and every leaf's decode.  At any other node (an error on a channel
+    that commits no direction, such as a graph) the adversary may corrupt
+    the flag into a parse the state does not hold, and the key is None.
+    On the unidirectional channel every node is of the two kinds.
     """
     if q < 3:
         raise ValueError(f"alphabet size must be at least 3, got {q}")
@@ -336,13 +370,22 @@ def unidirectional_rubber_strategy(q: int, r: int, n: int, t: int) -> Strategy:
             stack = rubber_stack_parse(body, **down)
         return _decode_word(constraint, stack[:k], message_count)
 
+    encode_step, state_at = _path_memo_encoder(start, feed, emit)
+
+    def sender_key(m: int, received: tuple[int, ...], direction: DirectionState) -> Optional[UniState]:
+        state = state_at(m, received)
+        if state.phase is UniPhase.ASSUME_CLEAN or direction is not DirectionState.UNDECIDED:
+            return state
+        return None
+
     return Strategy(
         name=f"unidirectional_rubber(q={q},r={r},n={n},t={t})",
         q=q,
         message_count=message_count,
         block_length=n,
-        encode_step=_path_memo_encoder(start, feed, emit),
+        encode_step=encode_step,
         decode=decode,
+        memo_key=MemoKey(encode_step, decode, sender_key),
     )
 
 

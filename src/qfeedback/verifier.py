@@ -9,24 +9,36 @@ certified only if every leaf decodes correctly.
 Search order is deterministic: messages ascending, outputs ascending at
 every node, so a reported counterexample is the lexicographically least
 adversary path for the least failing message, and repeated runs agree
-bit for bit.  One generator, _game_tree, yields a message's nodes in that
-order; verify_successful and max_errors_survived both consume it, each
-with its own node count, node cap and leaf test.
+bit for bit.  The walk keeps an explicit stack, so deep blocks cannot
+exhaust the recursion limit.
+
+The walk keeps a transposition table, on by default.  When the strategy
+declares a memo key (session.MemoKey; each declaring strategy's docstring
+gives the argument for its soundness), every subtree proven safe is
+stored, per message, under (sender key, depth, budget left, direction)
+with its node count.  A later node with the same key adds that count to
+the node total instead of walking the subtree again, unless the count
+would cross the node cap, in which case the subtree is walked.  So the
+node count still counts the whole tree, and every Verdict field (outcome,
+counterexample, nodes, max_depth) equals the plain walk's.  The plain walk
+runs instead when the strategy declares no key, when its encode_step or
+decode is no longer the one the key was declared with, and when an
+on_transcript callback is given, since the callback must see every leaf.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterator, Optional
+from typing import Callable, Optional
 
 from .channels import DirectionState
-from .session import Channel, Strategy, Transcript, admissible_outputs, advance_direction, check_budget, check_message
+from .session import Channel, Strategy, Transcript, admissible_outputs, advance_direction, check_budget
 
 DEFAULT_NODE_BUDGET = 10_000_000
 
-
-class NodeBudgetExceeded(RuntimeError):
-    """The search hit its node cap before reaching a definite answer."""
+# Marks a stack entry that closes a keyed subtree: (_CLOSE, its memo cell,
+# the node count before it, None).
+_CLOSE = object()
 
 
 def check_node_budget(node_budget: int) -> None:
@@ -63,28 +75,12 @@ class Verdict:
         return data
 
 
-def _game_tree(strategy: Strategy, channel: Channel, m: int, t: int) -> Iterator[tuple]:
-    """Every node of message m's tree as (sent, received, direction).
-
-    Preorder, outputs ascending, from an explicit stack of pending children
-    (pushed in reverse), so deep blocks cannot exhaust the recursion limit.
-    A node is expanded, its input chosen and checked and its children
-    pushed, only when the consumer asks for the node after it.
-    """
-    n = strategy.block_length
-    symbols = frozenset(channel.symbols)
-    stack = [((), (), t, DirectionState.UNDECIDED)]
-    while stack:
-        sent, received, budget, direction = stack.pop()
-        yield sent, received, direction
-        if len(received) == n:
-            continue
-        x = strategy.encode_step(m, received)
-        if x not in symbols:
-            raise ValueError(f"strategy emitted {x}, not a channel symbol")
-        sent += (x,)
-        for y in reversed(admissible_outputs(channel, x, budget, direction)):
-            stack.append((sent, received + (y,), budget - (y != x), advance_direction(channel, direction, x, y)))
+def _sender_key(strategy: Strategy):
+    """The strategy's declared key function, if it still fits its callables."""
+    declared = strategy.memo_key
+    if declared is None or declared.encode_step is not strategy.encode_step or declared.decode is not strategy.decode:
+        return None
+    return declared.key
 
 
 def verify_successful(
@@ -97,52 +93,55 @@ def verify_successful(
     """Certify that every message survives every t-error adversary.
 
     Never conflates "not searched" with "safe": running out of node budget
-    yields the distinct outcome "inconclusive".
+    yields the distinct outcome "inconclusive".  nodes counts every node of
+    the tree walked up to the verdict, memo hits included.
     """
     check_budget(strategy, t)
     check_node_budget(node_budget)
     n = strategy.block_length
+    symbols = frozenset(channel.symbols)
+    sender_key = _sender_key(strategy) if on_transcript is None else None
     nodes = max_depth = 0
     for m in range(strategy.message_count):
-        for sent, received, direction in _game_tree(strategy, channel, m, t):
+        # key -> [node count of the subtree, once proven safe, else 0]
+        memo: dict = {}
+        # preorder, outputs ascending: pending children pushed in reverse
+        stack = [((), (), t, DirectionState.UNDECIDED)]
+        while stack:
+            sent, received, budget, direction = stack.pop()
+            if sent is _CLOSE:
+                # every node below was walked and every leaf decoded to m
+                received[0] = nodes - budget
+                continue
             nodes += 1
             if nodes > node_budget:
                 return Verdict("inconclusive", nodes=nodes, max_depth=max_depth)
             depth = len(received)
             if depth > max_depth:
                 max_depth = depth
-            if depth < n:
+            if depth == n:
+                decoded = strategy.decode(received)
+                if on_transcript is not None:
+                    errors = tuple(i for i, (a, b) in enumerate(zip(sent, received)) if a != b)
+                    on_transcript(Transcript(sent, received, errors, direction, decoded))
+                if decoded != m:
+                    return Verdict("counterexample", m, sent, received, decoded, nodes, max_depth)
                 continue
-            decoded = strategy.decode(received)
-            if on_transcript is not None:
-                errors = tuple(i for i, (a, b) in enumerate(zip(sent, received)) if a != b)
-                on_transcript(Transcript(sent, received, errors, direction, decoded))
-            if decoded != m:
-                return Verdict("counterexample", m, sent, received, decoded, nodes, max_depth)
+            if sender_key is not None:
+                key = sender_key(m, received, direction)
+                if key is not None:
+                    # one hash per node: the cell is filled in when the subtree closes
+                    cell = memo.setdefault((key, depth, budget, direction), [0])
+                    size = cell[0]
+                    # a proven subtree reached depth n already, so max_depth stands
+                    if size and nodes - 1 + size <= node_budget:
+                        nodes += size - 1
+                        continue
+                    stack.append((_CLOSE, cell, nodes - 1, None))
+            x = strategy.encode_step(m, received)
+            if x not in symbols:
+                raise ValueError(f"strategy emitted {x}, not a channel symbol")
+            sent += (x,)
+            for y in reversed(admissible_outputs(channel, x, budget, direction)):
+                stack.append((sent, received + (y,), budget - (y != x), advance_direction(channel, direction, x, y)))
     return Verdict("success", nodes=nodes, max_depth=max_depth)
-
-
-def max_errors_survived(
-    strategy: Strategy,
-    channel: Channel,
-    message: int,
-    node_budget: int = DEFAULT_NODE_BUDGET,
-) -> int:
-    """Largest budget t for which the given message always decodes.
-
-    The node budget covers the whole scan over t.  Raises
-    NodeBudgetExceeded if the search is cut off, rather than returning a
-    number that nothing certifies.
-    """
-    check_message(strategy, message)
-    check_node_budget(node_budget)
-    n = strategy.block_length
-    nodes = 0
-    for t in range(n + 1):
-        for _, received, _ in _game_tree(strategy, channel, message, t):
-            nodes += 1
-            if nodes > node_budget:
-                raise NodeBudgetExceeded(f"node budget {node_budget} exhausted")
-            if len(received) == n and strategy.decode(received) != message:
-                return t - 1
-    return n

@@ -174,6 +174,16 @@ def test_verify_deep_block_does_not_recurse(tmp_path):
     assert report["counterexample"]["received"] == [0] * 1200
 
 
+def test_verify_deep_block_with_memo_does_not_recurse(tmp_path, capsys):
+    # modified_rubber declares a memo key, so this runs the memo walk
+    out = tmp_path / "deep.json"
+    args = ["verify", "--strategy", "modified_rubber", "--q", "3", "--r", "2", "--n", "1500", "--t", "1"]
+    assert main(args + ["--budget", "100000", "--out", str(out)]) == 3
+    assert capsys.readouterr().err == ""
+    report = json.loads(out.read_text())
+    assert (report["outcome"], report["nodes"]) == ("inconclusive", 100001)
+
+
 def test_negative_budget_is_a_usage_error(tmp_path, capsys):
     out = tmp_path / "neg.json"
     assert main(["verify", "--strategy", "identity", "--q", "2", "--n", "3", "--t", "-1", "--out", str(out)]) == 1

@@ -3,7 +3,15 @@ from dataclasses import replace
 import pytest
 
 from qfeedback.bounds import sphere_packing_message_bound
-from qfeedback.channels import DirectionState, make_unidirectional_pair, make_z_channel
+from qfeedback import strategies
+from qfeedback.channels import (
+    DirectionState,
+    make_inverse_z_channel,
+    make_star_channel,
+    make_symmetric_channel,
+    make_unidirectional_pair,
+    make_z_channel,
+)
 from qfeedback.session import PathAdversary, Strategy, admissible_outputs, advance_direction, run_session
 from qfeedback.strategies import (
     identity_strategy,
@@ -11,12 +19,7 @@ from qfeedback.strategies import (
     unidirectional_rubber_strategy,
     zero_error_unidirectional_strategy,
 )
-from qfeedback.verifier import (
-    NodeBudgetExceeded,
-    Verdict,
-    max_errors_survived,
-    verify_successful,
-)
+from qfeedback.verifier import DEFAULT_NODE_BUDGET, Verdict, verify_successful
 
 
 def test_identity_with_zero_budget_succeeds():
@@ -90,8 +93,6 @@ def test_node_budget_below_one_is_rejected():
     for node_budget in (0, -1):
         with pytest.raises(ValueError):
             verify_successful(s, make_z_channel(2), 1, node_budget=node_budget)
-        with pytest.raises(ValueError):
-            max_errors_survived(s, make_z_channel(2), 0, node_budget=node_budget)
 
 
 def test_node_budget_boundary_is_exact():
@@ -103,17 +104,6 @@ def test_node_budget_boundary_is_exact():
     assert (cut.outcome, cut.nodes) == ("inconclusive", tree)
 
 
-def test_max_errors_survived_budget_is_cumulative_over_t():
-    s = zero_error_unidirectional_strategy(3, 3)
-    pair = make_unidirectional_pair(3)
-    # message 0's tree for each budget t = 0..n, all of which it survives
-    trees = [verify_successful(replace(s, message_count=1), pair, t).nodes for t in range(4)]
-    assert max_errors_survived(s, pair, 0, node_budget=sum(trees)) == 3
-    for node_budget in (sum(trees) - 1, max(trees)):
-        with pytest.raises(NodeBudgetExceeded):
-            max_errors_survived(s, pair, 0, node_budget=node_budget)
-
-
 BAD_SYMBOL_STRATEGY = Strategy("bad", 2, 1, 2, lambda m, y: 7, lambda y: 0)
 
 
@@ -122,8 +112,6 @@ def test_non_channel_symbols_are_rejected_at_every_budget(t):
     for channel in (make_z_channel(2), make_unidirectional_pair(2)):
         with pytest.raises(ValueError, match="strategy emitted 7, not a channel symbol"):
             verify_successful(BAD_SYMBOL_STRATEGY, channel, t)
-        with pytest.raises(ValueError, match="strategy emitted 7, not a channel symbol"):
-            max_errors_survived(BAD_SYMBOL_STRATEGY, channel, 0)
     lying = replace(identity_strategy(3, 2), encode_step=lambda m, p: 7, decode=lambda y: 0, message_count=1)
     with pytest.raises(ValueError, match="not a channel symbol"):
         verify_successful(lying, make_z_channel(3), 0)
@@ -140,33 +128,6 @@ def test_zero_error_survives_full_budget():
     v = verify_successful(s, make_unidirectional_pair(4), 3)
     assert v.outcome == "success"
     assert v.max_depth == 3
-
-
-def test_max_errors_survived_zero_error_scheme():
-    s = zero_error_unidirectional_strategy(5, 3)
-    pair = make_unidirectional_pair(5)
-    for m in (0, 4, 8):
-        assert max_errors_survived(s, pair, m) == 3
-
-
-def test_max_errors_survived_identity_all_zero_word():
-    # the all-zero codeword cannot be corrupted on the Z channel at all
-    s = identity_strategy(2, 3)
-    assert max_errors_survived(s, make_z_channel(2), 0) == 3
-    # while a corruptible codeword with no slack dies at its first error
-    assert max_errors_survived(s, make_z_channel(2), 7) == 0
-
-
-def test_max_errors_survived_budget_raises():
-    s = modified_rubber_strategy(2, 2, "z", 6, 1)
-    with pytest.raises(NodeBudgetExceeded):
-        max_errors_survived(s, make_z_channel(2), 0, node_budget=5)
-
-
-def test_max_errors_survived_message_validation():
-    s = identity_strategy(2, 2)
-    with pytest.raises(ValueError):
-        max_errors_survived(s, make_z_channel(2), 4)
 
 
 def test_pigeonhole_consistency_with_message_bound():
@@ -260,3 +221,93 @@ def test_verdict_json_for_counterexample():
         "nodes": 6,
         "counterexample": {"message": 1, "sent": [0, 1], "received": [0, 0], "decoded": 0},
     }
+
+
+# -- the transposition table against the full walk -----------------------------
+
+CHANNELS = {
+    "z": make_z_channel,
+    "invz": make_inverse_z_channel,
+    "sym": make_symmetric_channel,
+    "star": make_star_channel,
+    "uni": make_unidirectional_pair,
+}
+
+
+def full_walk(strategy, channel, t, node_budget):
+    # an on_transcript callback turns the memo off
+    return verify_successful(strategy, channel, t, node_budget=node_budget, on_transcript=lambda tr: None)
+
+
+def assert_memo_matches_full_walk(strategy, channel, t):
+    """Every Verdict field agrees, uncapped and at every interesting node cap."""
+    tree = full_walk(strategy, channel, t, DEFAULT_NODE_BUDGET)
+    assert verify_successful(strategy, channel, t) == tree
+    for node_budget in (1, 37, 5_000, tree.nodes - 1, tree.nodes, tree.nodes + 1):
+        expected = full_walk(strategy, channel, t, node_budget)
+        assert verify_successful(strategy, channel, t, node_budget=node_budget) == expected, node_budget
+    return tree.outcome
+
+
+# each built for t = 2; unirubber's tree on uni (7,197 nodes) puts the 5,000 cap mid-tree
+RUBBER_SCHEMES = {
+    "rubber_z": lambda: modified_rubber_strategy(3, 2, "z", 8, 2),
+    "rubber_invz": lambda: modified_rubber_strategy(3, 2, "invz", 8, 2),
+    "unirubber": lambda: unidirectional_rubber_strategy(3, 2, 9, 2),
+}
+
+
+@pytest.mark.parametrize("channel_id", CHANNELS)
+@pytest.mark.parametrize("scheme", RUBBER_SCHEMES)
+def test_memo_matches_full_walk(scheme, channel_id):
+    assert_memo_matches_full_walk(RUBBER_SCHEMES[scheme](), CHANNELS[channel_id](3), 2)
+
+
+@pytest.mark.parametrize(
+    "strategy, channel_id, t",
+    [
+        # the first failing leaf comes after subtrees the memo skips
+        (modified_rubber_strategy(3, 1, "invz", 9, 2), "z", 3),
+        (modified_rubber_strategy(3, 2, "invz", 9, 2), "star", 3),
+        (modified_rubber_strategy(3, 1, "invz", 9, 2), "uni", 2),
+        (unidirectional_rubber_strategy(3, 2, 9, 2), "uni", 3),
+    ],
+)
+def test_memo_matches_full_walk_past_skipped_subtrees(strategy, channel_id, t):
+    assert assert_memo_matches_full_walk(strategy, CHANNELS[channel_id](3), t) == "counterexample"
+
+
+def codeword_only(strategy):
+    """The strategy with an unsound key: the codeword without the receiver stack."""
+    declared = strategy.memo_key
+    return replace(strategy, memo_key=declared._replace(key=lambda m, y, d: declared.key(m, y, d).codeword))
+
+
+def test_differential_check_catches_an_unsound_key():
+    with pytest.raises(AssertionError):
+        assert_memo_matches_full_walk(codeword_only(RUBBER_SCHEMES["rubber_z"]()), make_z_channel(3), 2)
+
+
+@pytest.mark.parametrize("field", ["encode_step", "decode"])
+def test_replaced_callables_get_the_full_walk(field):
+    # the unsound key would change the verdict if it still applied
+    mutant = codeword_only(RUBBER_SCHEMES["rubber_z"]())
+    rewrapped = replace(mutant, **{field: lambda *args: getattr(mutant, field)(*args)})
+    channel = make_z_channel(3)
+    for node_budget in (37, DEFAULT_NODE_BUDGET):
+        expected = full_walk(mutant, channel, 2, node_budget)
+        assert verify_successful(rewrapped, channel, 2, node_budget=node_budget) == expected
+
+
+def test_memo_skips_proven_subtrees(monkeypatch):
+    s = modified_rubber_strategy(3, 2, "z", 8, 2)
+    channel = make_z_channel(3)
+    leaves = []
+    full = verify_successful(s, channel, 2, on_transcript=leaves.append)
+    calls = []
+    rank = strategies.rank
+    monkeypatch.setattr(strategies, "rank", lambda *args: calls.append(args) or rank(*args))
+    memo = verify_successful(s, channel, 2)
+    assert memo.outcome == full.outcome == "success"
+    assert memo.nodes == full.nodes
+    assert len(calls) < len(leaves)
