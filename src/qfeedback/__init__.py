@@ -40,9 +40,9 @@ from .codebook import (
 from .session import (
     Adversary,
     GreedyAdversary,
-    MemoKey,
     PassiveAdversary,
     PathAdversary,
+    Sender,
     Strategy,
     Transcript,
     replay,
@@ -72,10 +72,10 @@ __all__ = [
     "DirectionState",
     "DualRunConstraint",
     "GreedyAdversary",
-    "MemoKey",
     "PassiveAdversary",
     "PathAdversary",
     "RunConstraint",
+    "Sender",
     "Strategy",
     "Transcript",
     "UniPhase",

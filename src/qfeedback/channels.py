@@ -107,6 +107,10 @@ def make_star_channel(q: int) -> ChannelGraph:
 class DirectionState(enum.Enum):
     """Which way a unidirectional adversary has committed."""
 
+    # equality is identity, so hash by identity too (Enum's own hash is
+    # Python code, and the verifier hashes a direction at every node)
+    __hash__ = object.__hash__
+
     UNDECIDED = "undecided"
     POSITIVE = "positive"
     NEGATIVE = "negative"

@@ -10,28 +10,38 @@ between sessions, so any prefix can be replayed exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Hashable, NamedTuple, Optional, Protocol, Sequence, Union
+from typing import Any, Callable, Hashable, NamedTuple, Optional, Protocol, Sequence, Union
 
 from .channels import ChannelGraph, DirectionState, UnidirectionalChannel
 
 Channel = Union[ChannelGraph, UnidirectionalChannel]
 
 
-class MemoKey(NamedTuple):
-    """A sender key, declared for one pair of encode_step and decode.
+class Sender(NamedTuple):
+    """The sender's state, declared for one pair of encode_step and decode.
 
-    key(message, received prefix, direction) returns a hashable summary of
-    the sender's state at that node of the game tree, or None where the
-    strategy vouches for no summary.  Soundness: within one message, two
-    nodes with equal keys at the same depth, budget left and channel
-    direction must root identical subtrees (the same inputs, the same
-    outputs and the same decode at every leaf), so that one proof of
+    start(message) is the state before the first symbol, feed(state, y)
+    the state once y is delivered, and emit(state) the next input, so that
+    encode_step(m, y) equals emit applied to the fold of feed over y from
+    start(m), for every received prefix y.  The verifier, run_session and
+    replay fold the state along their own path, one feed per delivered
+    symbol.
+
+    key, when not None, turns on the verifier's transposition table:
+    key(state, direction) returns a hashable summary of the state, or None
+    where the strategy vouches for no summary.  Soundness: within one
+    message, two nodes with equal keys at the same depth, budget left and
+    channel direction must root identical subtrees (the same inputs, the
+    same outputs and the same decode at every leaf), so that one proof of
     safety, and one node count, serves both.
     """
 
     encode_step: Callable[[int, tuple[int, ...]], int]
     decode: Callable[[tuple[int, ...]], int]
-    key: Callable[[int, tuple[int, ...], DirectionState], Optional[Hashable]]
+    start: Callable[[int], Any]
+    feed: Callable[[Any, int], Any]
+    emit: Callable[[Any], int]
+    key: Optional[Callable[[Any, DirectionState], Optional[Hashable]]] = None
 
 
 @dataclass(frozen=True)
@@ -42,16 +52,20 @@ class Strategy:
     must depend on nothing else; decode maps a full received word to a
     message and sees no feedback-side state.
 
-    memo_key, when given, turns on the verifier's transposition table for
-    this strategy, with no further flag: each subtree is proven safe once
-    per sender key, and a repeat adds the stored node count, so a
-    verdict's nodes still counts the whole tree (see MemoKey, and the
-    verifier module for the walk).  Each strategy that declares a key
-    states in its docstring why the key is sound.  The key holds only for
-    the encode_step and decode it was declared with: a copy whose
-    encode_step or decode was replaced (by dataclasses.replace, say) gets
-    the plain walk, as does any verification given an on_transcript
-    callback.  None, the default, always means the plain walk.
+    sender, when given, declares the state behind encode_step (see
+    Sender): the verifier, run_session and replay then feed one delivered
+    symbol per step instead of asking encode_step about each prefix.  A
+    declared key also turns on the verifier's transposition table, with no
+    further flag: each subtree is proven safe once per sender key, and a
+    repeat adds the stored node count, so a verdict's nodes still counts
+    the whole tree (see the verifier module for the walk).  Each strategy
+    that declares a key states in its docstring why the key is sound.
+
+    The declaration holds only for the encode_step and decode it was made
+    with: a copy whose encode_step or decode was replaced (by
+    dataclasses.replace, say) is driven through encode_step at every step,
+    with no table, exactly as when sender is None.  A verification given
+    an on_transcript callback folds the declared state but uses no key.
     """
 
     name: str
@@ -60,7 +74,28 @@ class Strategy:
     block_length: int
     encode_step: Callable[[int, tuple[int, ...]], int]
     decode: Callable[[tuple[int, ...]], int]
-    memo_key: Optional[MemoKey] = None
+    sender: Optional[Sender] = None
+
+
+def _prefix_start(message: int) -> tuple[int, tuple[int, ...]]:
+    return message, ()
+
+
+def _prefix_feed(state: tuple[int, tuple[int, ...]], y: int) -> tuple[int, tuple[int, ...]]:
+    return state[0], state[1] + (y,)
+
+
+def sender_of(strategy: Strategy) -> Sender:
+    """The declared Sender while it fits the strategy's callables.
+
+    Otherwise an adapter: its state is (message, received prefix), its
+    emit calls encode_step, and it has no key.
+    """
+    declared = strategy.sender
+    if declared is not None and declared.encode_step is strategy.encode_step and declared.decode is strategy.decode:
+        return declared
+    encode_step = strategy.encode_step
+    return Sender(encode_step, strategy.decode, _prefix_start, _prefix_feed, lambda state: encode_step(*state))
 
 
 @dataclass(frozen=True)
@@ -162,8 +197,12 @@ def run_session(strategy: Strategy, channel: Channel, adversary: Adversary, mess
     errors: list[int] = []
     direction = DirectionState.UNDECIDED
     budget = t
+    sender = sender_of(strategy)
+    state = sender.start(message)
     for i in range(n):
-        x = strategy.encode_step(message, tuple(received))
+        if i:
+            state = sender.feed(state, y)
+        x = sender.emit(state)
         if x not in symbols:
             raise ValueError(f"strategy emitted {x}, not a channel symbol")
         options = admissible_outputs(channel, x, budget, direction)
@@ -189,4 +228,10 @@ def replay(strategy: Strategy, message: int, received: Sequence[int]) -> tuple[i
     y = tuple(received)
     if len(y) > strategy.block_length:
         raise ValueError("received word longer than the block")
-    return tuple(strategy.encode_step(message, y[:i]) for i in range(len(y)))
+    sender = sender_of(strategy)
+    sent = []
+    state = None
+    for i in range(len(y)):
+        state = sender.feed(state, y[i - 1]) if i else sender.start(message)
+        sent.append(sender.emit(state))
+    return tuple(sent)

@@ -15,12 +15,16 @@ Three schemes, plus a non-adaptive baseline:
 
 All encoders are pure: the next symbol is a function of (message, received
 prefix) alone, which is what makes exhaustive game-tree search possible.
-The rubber encoders get there incrementally.  Their sender state (codeword,
-phase, receiver stack) is immutable, and one step costs one feed of the
-received symbol; encode_step is the fold of those steps over the prefix,
-memoised along the last prefix asked for (see _path_memo_encoder).  The
-two rubber schemes also declare that state as the verifier's memo key
-(session.MemoKey); each builder's docstring gives the soundness argument.
+Every scheme also declares its sender state (session.Sender): an immutable
+state, a start per message, a feed per delivered symbol and an emit of the
+next input.  The verifier, run_session and replay fold that state along
+their own path.  The rubber schemes' state is (codeword, phase, receiver
+stack), and their encode_step is the same fold, memoised along the last
+prefix asked for (see _path_memo_encoder); zero_error and identity keep
+their direct encode_step, and their state holds the message digits,
+computed once per message.  The two rubber schemes also declare a key for
+the verifier's transposition table; each builder's docstring gives the
+soundness argument.
 """
 
 from __future__ import annotations
@@ -30,7 +34,7 @@ from typing import Callable, NamedTuple, Optional, Sequence
 
 from .channels import DirectionState
 from .codebook import DualRunConstraint, RunConstraint, count, is_valid, rank, unrank
-from .session import MemoKey, Strategy
+from .session import Sender, Strategy
 
 
 def _push(stack: tuple[int, ...], y: int, *, rubber: int, correction: int, run_length: int) -> tuple[int, ...]:
@@ -50,50 +54,54 @@ def _push(stack: tuple[int, ...], y: int, *, rubber: int, correction: int, run_l
 
 
 def rubber_stack_parse(symbols: Sequence[int], *, rubber: int, correction: int, run_length: int) -> list[int]:
-    """Receiver-side parse shared by all rubber decoders: _push, symbol by symbol."""
-    stack: tuple[int, ...] = ()
-    for s in symbols:
-        stack = _push(stack, s, rubber=rubber, correction=correction, run_length=run_length)
-    return list(stack)
+    """Receiver-side parse shared by all rubber decoders.
+
+    The _push rule, symbol by symbol, on one list instead of a new tuple
+    per symbol, so a parse is linear in the word's length.
+    """
+    stack: list[int] = []
+    run = [rubber] * run_length
+    for y in symbols:
+        stack.append(y)
+        while stack and stack[-1] == rubber and stack[-run_length:] == run:
+            del stack[-run_length:]
+            if stack:
+                stack[-1] += correction
+    return stack
 
 
 def _path_memo_encoder(start: Callable[[int], object], feed: Callable[[object, int], object], emit: Callable[[object], int]):
-    """(encode_step, state_at): state_at(m, prefix) is the fold of feed over
-    prefix from start(m), and encode_step(m, prefix) = emit(state_at(m, prefix)).
+    """encode_step(m, prefix): emit of the fold of feed over prefix from start(m).
 
-    The states along the last prefix asked for are kept.  Asking for that
-    same prefix object again costs nothing (the verifier reads a node's
-    key, then its input); a prefix that extends the path, or branches off
-    it at its last symbol (a DFS child or sibling, the next session step,
-    the next replay position), costs one feed; any other prefix folds from
-    start(m).  The memo is checked against (m, prefix) on every call, so
-    both stay functions of their arguments alone.  The memo is not locked:
-    give each thread its own strategy.
+    Callers that hold no state (external code, and any walk of a strategy
+    whose declared Sender no longer applies) go through this.  The states
+    along the last prefix asked for are kept: a prefix that extends the
+    path, or branches off it at its last symbol (a DFS child or sibling,
+    the next session step, the next replay position), costs one feed; any
+    other prefix folds from start(m).  The memo is checked against
+    (m, prefix) on every call, so encode_step stays a function of its
+    arguments alone.  The memo is not locked: give each thread its own
+    strategy.
     """
     memo_m: Optional[int] = None
     path: tuple[int, ...] = ()
     # states[i] is the state after path[:i], for every i < len(states)
     states: list = []
 
-    def state_at(m: int, received_prefix: tuple[int, ...]):
+    def encode_step(m: int, received_prefix: tuple[int, ...]) -> int:
         nonlocal memo_m, path
         prefix = tuple(received_prefix)
         if m != memo_m:
             memo_m, path, states[:] = m, (), [start(m)]
-        elif prefix is path:
-            return states[-1]
         j = len(prefix) - 1
         keep = j if 0 < j < len(states) and prefix[:j] == path[:j] else 0
         del states[keep + 1 :]
         path = prefix
         for y in prefix[keep:]:
             states.append(feed(states[-1], y))
-        return states[-1]
+        return emit(states[-1])
 
-    def encode_step(m: int, received_prefix: tuple[int, ...]) -> int:
-        return emit(state_at(m, received_prefix))
-
-    return encode_step, state_at
+    return encode_step
 
 
 def _automaton_next(w: tuple[int, ...], stack: tuple[int, ...], rubber: int, fill: int) -> int:
@@ -188,10 +196,10 @@ def modified_rubber_strategy(q: int, r: int, side: str, n: int, t: int) -> Strat
         stack = rubber_stack_parse(received, **convention)
         return _decode_word(constraint, stack[:k], message_count)
 
-    encode_step, state_at = _path_memo_encoder(start, feed, emit)
+    def sender_key(state: RubberState, direction: DirectionState) -> RubberState:
+        return state
 
-    def sender_key(m: int, received: tuple[int, ...], direction: DirectionState) -> RubberState:
-        return state_at(m, received)
+    encode_step = _path_memo_encoder(start, feed, emit)
 
     return Strategy(
         name=f"modified_rubber(q={q},r={r},side={side},n={n},t={t})",
@@ -200,7 +208,7 @@ def modified_rubber_strategy(q: int, r: int, side: str, n: int, t: int) -> Strat
         block_length=n,
         encode_step=encode_step,
         decode=decode,
-        memo_key=MemoKey(encode_step, decode, sender_key),
+        sender=Sender(encode_step, decode, start, feed, emit, sender_key),
     )
 
 
@@ -215,6 +223,9 @@ def zero_error_unidirectional_strategy(q: int, n: int) -> Strategy:
     to the respective committed channel; the only corruptible case is a
     clean block whose trailing 0 gets incremented, and then the prefix is
     clean anyway.
+
+    Sender state: (digits, position, upward error seen), the digits
+    computed once per message.  No memo key.
     """
     if q < 2:
         raise ValueError(f"alphabet size must be at least 2, got {q}")
@@ -249,6 +260,19 @@ def zero_error_unidirectional_strategy(q: int, n: int) -> Strategy:
             m = m * base + min(e // 2, base - 1)
         return m
 
+    def start(m: int) -> tuple[tuple[int, ...], int, bool]:
+        return _digits(m, base, n - 1), 0, False
+
+    def feed(state: tuple[tuple[int, ...], int, bool], y: int) -> tuple[tuple[int, ...], int, bool]:
+        word, i, up = state
+        return word, i + 1, up or (i < n - 1 and y > 2 * word[i])
+
+    def emit(state: tuple[tuple[int, ...], int, bool]) -> int:
+        word, i, up = state
+        if i < n - 1:
+            return 2 * word[i]
+        return q - 1 if up else 0
+
     return Strategy(
         name=f"zero_error_unidirectional(q={q},n={n})",
         q=q,
@@ -256,11 +280,16 @@ def zero_error_unidirectional_strategy(q: int, n: int) -> Strategy:
         block_length=n,
         encode_step=encode_step,
         decode=decode,
+        sender=Sender(encode_step, decode, start, feed, emit),
     )
 
 
 class UniPhase(enum.Enum):
     """Sender phase of the unidirectional rubber scheme."""
+
+    # equality is identity, so hash by identity too (Enum's own hash is
+    # Python code, and a phase is hashed on every feed)
+    __hash__ = object.__hash__
 
     ASSUME_CLEAN = "assume_clean"
     COMMITTED_DOWN = "committed_down"
@@ -370,13 +399,12 @@ def unidirectional_rubber_strategy(q: int, r: int, n: int, t: int) -> Strategy:
             stack = rubber_stack_parse(body, **down)
         return _decode_word(constraint, stack[:k], message_count)
 
-    encode_step, state_at = _path_memo_encoder(start, feed, emit)
-
-    def sender_key(m: int, received: tuple[int, ...], direction: DirectionState) -> Optional[UniState]:
-        state = state_at(m, received)
+    def sender_key(state: UniState, direction: DirectionState) -> Optional[UniState]:
         if state.phase is UniPhase.ASSUME_CLEAN or direction is not DirectionState.UNDECIDED:
             return state
         return None
+
+    encode_step = _path_memo_encoder(start, feed, emit)
 
     return Strategy(
         name=f"unidirectional_rubber(q={q},r={r},n={n},t={t})",
@@ -385,7 +413,7 @@ def unidirectional_rubber_strategy(q: int, r: int, n: int, t: int) -> Strategy:
         block_length=n,
         encode_step=encode_step,
         decode=decode,
-        memo_key=MemoKey(encode_step, decode, sender_key),
+        sender=Sender(encode_step, decode, start, feed, emit, sender_key),
     )
 
 
@@ -394,6 +422,9 @@ def identity_strategy(q: int, n: int) -> Strategy:
 
     M = q^n leaves no redundancy, so any corruptible codeword yields a
     decoding collision; the verifier uses this as its negative control.
+
+    Sender state: (digits, position), the digits computed once per
+    message.  No memo key.
     """
     if q < 2 or n < 1:
         raise ValueError("need q >= 2 and n >= 1")
@@ -408,6 +439,15 @@ def identity_strategy(q: int, n: int) -> Strategy:
             m = m * q + min(max(y, 0), q - 1)
         return m
 
+    def start(m: int) -> tuple[tuple[int, ...], int]:
+        return _digits(m, q, n), 0
+
+    def feed(state: tuple[tuple[int, ...], int], y: int) -> tuple[tuple[int, ...], int]:
+        return state[0], state[1] + 1
+
+    def emit(state: tuple[tuple[int, ...], int]) -> int:
+        return state[0][state[1]]
+
     return Strategy(
         name=f"identity(q={q},n={n})",
         q=q,
@@ -415,4 +455,5 @@ def identity_strategy(q: int, n: int) -> Strategy:
         block_length=n,
         encode_step=encode_step,
         decode=decode,
+        sender=Sender(encode_step, decode, start, feed, emit),
     )

@@ -12,18 +12,28 @@ adversary path for the least failing message, and repeated runs agree
 bit for bit.  The walk keeps an explicit stack, so deep blocks cannot
 exhaust the recursion limit.
 
-The walk keeps a transposition table, on by default.  When the strategy
-declares a memo key (session.MemoKey; each declaring strategy's docstring
-gives the argument for its soundness), every subtree proven safe is
-stored, per message, under (sender key, depth, budget left, direction)
-with its node count.  A later node with the same key adds that count to
-the node total instead of walking the subtree again, unless the count
-would cross the node cap, in which case the subtree is walked.  So the
-node count still counts the whole tree, and every Verdict field (outcome,
-counterexample, nodes, max_depth) equals the plain walk's.  The plain walk
-runs instead when the strategy declares no key, when its encode_step or
-decode is no longer the one the key was declared with, and when an
-on_transcript callback is given, since the callback must see every leaf.
+The walk carries the sender's state (session.Sender).  Each pending child
+on the stack holds its parent's state; a node's state is
+feed(parent state, its received symbol), the root's is start(message),
+and a node's input is emit(state).  A strategy that declares no Sender, or
+whose encode_step or decode is no longer the one it was declared with,
+gets the adapter state (message, received prefix) with emit calling
+encode_step, in the same loop.  A node's children depend only on (input,
+budget left, direction), so they are built once per search, through
+admissible_outputs and advance_direction, and kept in a table; an input
+outside the channel's symbols is rejected when its entry is built.
+
+The walk keeps a transposition table, on by default.  When the Sender
+declares a key (each declaring strategy's docstring gives the argument for
+its soundness), every subtree proven safe is stored, per message, under
+(sender key, depth, budget left, direction) with its node count.  A later
+node with the same key adds that count to the node total instead of
+walking the subtree again, unless the count would cross the node cap, in
+which case the subtree is walked.  So the node count still counts the
+whole tree, and every Verdict field (outcome, counterexample, nodes,
+max_depth) equals the plain walk's.  The table is off when the Sender
+declares no key, when the adapter runs, and when an on_transcript callback
+is given, since the callback must see every leaf.
 """
 
 from __future__ import annotations
@@ -32,13 +42,9 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 from .channels import DirectionState
-from .session import Channel, Strategy, Transcript, admissible_outputs, advance_direction, check_budget
+from .session import Channel, Strategy, Transcript, admissible_outputs, advance_direction, check_budget, sender_of
 
 DEFAULT_NODE_BUDGET = 10_000_000
-
-# Marks a stack entry that closes a keyed subtree: (_CLOSE, its memo cell,
-# the node count before it, None).
-_CLOSE = object()
 
 
 def check_node_budget(node_budget: int) -> None:
@@ -75,12 +81,14 @@ class Verdict:
         return data
 
 
-def _sender_key(strategy: Strategy):
-    """The strategy's declared key function, if it still fits its callables."""
-    declared = strategy.memo_key
-    if declared is None or declared.encode_step is not strategy.encode_step or declared.decode is not strategy.decode:
-        return None
-    return declared.key
+def _children(channel: Channel, symbols: frozenset, x: int, budget: int, direction: DirectionState) -> tuple:
+    """A node's children as (received symbol, budget left, direction), in push order."""
+    if x not in symbols:
+        raise ValueError(f"strategy emitted {x}, not a channel symbol")
+    return tuple(
+        (y, budget - (y != x), advance_direction(channel, direction, x, y))
+        for y in reversed(admissible_outputs(channel, x, budget, direction))
+    )
 
 
 def verify_successful(
@@ -99,36 +107,51 @@ def verify_successful(
     check_budget(strategy, t)
     check_node_budget(node_budget)
     n = strategy.block_length
+    decode = strategy.decode
     symbols = frozenset(channel.symbols)
-    sender_key = _sender_key(strategy) if on_transcript is None else None
+    sender = sender_of(strategy)
+    feed, emit = sender.feed, sender.emit
+    sender_key = sender.key if on_transcript is None else None
+    # (input, budget left, direction) -> that node's children
+    children_of: dict = {}
     nodes = max_depth = 0
     for m in range(strategy.message_count):
         # key -> [node count of the subtree, once proven safe, else 0]
         memo: dict = {}
-        # preorder, outputs ascending: pending children pushed in reverse
-        stack = [((), (), t, DirectionState.UNDECIDED)]
+        # the node's path: sent[i] and received[i] for every i below its depth
+        sent = [None] * n
+        received = [None] * n
+        # preorder, outputs ascending: pending children pushed in reverse as
+        # (depth, received symbol, budget left, direction, parent state); an
+        # entry that closes a keyed subtree is (-1, its memo cell, the node
+        # count before it, None, None)
+        stack = [(0, None, t, DirectionState.UNDECIDED, sender.start(m))]
         while stack:
-            sent, received, budget, direction = stack.pop()
-            if sent is _CLOSE:
+            depth, y, budget, direction, state = stack.pop()
+            if depth < 0:
                 # every node below was walked and every leaf decoded to m
-                received[0] = nodes - budget
+                y[0] = nodes - budget
                 continue
             nodes += 1
             if nodes > node_budget:
                 return Verdict("inconclusive", nodes=nodes, max_depth=max_depth)
-            depth = len(received)
             if depth > max_depth:
                 max_depth = depth
+            if depth:
+                received[depth - 1] = y
+                if depth < n:
+                    state = feed(state, y)
             if depth == n:
-                decoded = strategy.decode(received)
+                word = tuple(received)
+                decoded = decode(word)
                 if on_transcript is not None:
-                    errors = tuple(i for i, (a, b) in enumerate(zip(sent, received)) if a != b)
-                    on_transcript(Transcript(sent, received, errors, direction, decoded))
+                    errors = tuple(i for i, (a, b) in enumerate(zip(sent, word)) if a != b)
+                    on_transcript(Transcript(tuple(sent), word, errors, direction, decoded))
                 if decoded != m:
-                    return Verdict("counterexample", m, sent, received, decoded, nodes, max_depth)
+                    return Verdict("counterexample", m, tuple(sent), word, decoded, nodes, max_depth)
                 continue
             if sender_key is not None:
-                key = sender_key(m, received, direction)
+                key = sender_key(state, direction)
                 if key is not None:
                     # one hash per node: the cell is filled in when the subtree closes
                     cell = memo.setdefault((key, depth, budget, direction), [0])
@@ -137,11 +160,13 @@ def verify_successful(
                     if size and nodes - 1 + size <= node_budget:
                         nodes += size - 1
                         continue
-                    stack.append((_CLOSE, cell, nodes - 1, None))
-            x = strategy.encode_step(m, received)
-            if x not in symbols:
-                raise ValueError(f"strategy emitted {x}, not a channel symbol")
-            sent += (x,)
-            for y in reversed(admissible_outputs(channel, x, budget, direction)):
-                stack.append((sent, received + (y,), budget - (y != x), advance_direction(channel, direction, x, y)))
+                    stack.append((-1, cell, nodes - 1, None, None))
+            x = emit(state)
+            children = children_of.get((x, budget, direction))
+            if children is None:
+                children = children_of[x, budget, direction] = _children(channel, symbols, x, budget, direction)
+            sent[depth] = x
+            depth += 1
+            for y, left, after in children:
+                stack.append((depth, y, left, after, state))
     return Verdict("success", nodes=nodes, max_depth=max_depth)

@@ -1,16 +1,18 @@
 """End-to-end checks of the command line frontend.
 
-Most tests drive main() in process; one subprocess test covers the module
-entry point itself.
+Most tests drive main() in process; subprocess tests cover the module
+entry point itself and reports across hash seeds.
 """
 
 import json
 import math
+import os
 import subprocess
 import sys
 
 import pytest
 
+import qfeedback
 from qfeedback.bounds import lower_envelope, min_max_output_mass
 from qfeedback.channels import make_z_channel
 from qfeedback.cli import main
@@ -162,6 +164,35 @@ def test_verify_reports_are_reproducible(tmp_path):
     first = out.read_bytes()
     assert main(args) == 0
     assert out.read_bytes() == first
+
+
+def run_fresh(args, hash_seed):
+    """The module entry point in a new process with the given PYTHONHASHSEED."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(qfeedback.__file__)))
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONHASHSEED=str(hash_seed), PYTHONPATH=src + (os.pathsep + path if path else ""))
+    return subprocess.run([sys.executable, "-m", "qfeedback.cli", *args], capture_output=True, env=env)
+
+
+@pytest.mark.parametrize(
+    "args, code",
+    [
+        (["verify", "--strategy", "unidirectional_rubber", "--q", "3", "--r", "2", "--n", "7", "--t", "1", "--channel", "uni"], 0),
+        (["verify", "--strategy", "modified_rubber", "--q", "3", "--r", "2", "--n", "6", "--t", "1", "--channel", "sym"], 2),
+        (["session", "--strategy", "unidirectional_rubber", "--q", "3", "--r", "2", "--n", "7", "--t", "1", "--message", "3"], 0),
+    ],
+    ids=["verify-success", "verify-counterexample", "session"],
+)
+def test_reports_are_identical_across_hash_seeds(tmp_path, args, code):
+    # directions and phases hash by identity, which differs between processes
+    reports = []
+    for hash_seed in (0, 4242):
+        out = tmp_path / f"report{hash_seed}.json"
+        proc = run_fresh(args + ["--out", str(out)] if args[0] == "verify" else args, hash_seed)
+        assert (proc.returncode, proc.stderr) == (code, b"")
+        reports.append(out.read_bytes() if args[0] == "verify" else proc.stdout)
+    assert reports[0] == reports[1]
+    assert json.loads(reports[0])
 
 
 def test_verify_deep_block_does_not_recurse(tmp_path):

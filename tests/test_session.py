@@ -1,4 +1,5 @@
 import itertools
+from dataclasses import replace
 
 import pytest
 
@@ -143,6 +144,26 @@ def test_replay_is_causal():
             full = replay(s, m, y)
             for cut in range(5):
                 assert replay(s, m, y[:cut]) == full[:cut]
+
+
+@pytest.mark.parametrize(
+    "strategy, channel",
+    [
+        (modified_rubber_strategy(3, 2, "z", 8, 2), make_z_channel(3)),
+        (unidirectional_rubber_strategy(3, 2, 9, 2), make_unidirectional_pair(3)),
+        (zero_error_unidirectional_strategy(3, 6), make_unidirectional_pair(3)),
+        (identity_strategy(3, 4), make_symmetric_channel(3)),
+    ],
+)
+def test_sessions_fold_the_declared_state(strategy, channel):
+    # a replaced encode_step voids the declared Sender, so this copy is
+    # driven through encode_step at every step
+    plain = replace(strategy, encode_step=lambda m, y: strategy.encode_step(m, y))
+    for m in range(0, strategy.message_count, 5):
+        for adv in (PassiveAdversary(), GreedyAdversary()):
+            tr = run_session(strategy, channel, adv, m, 2)
+            assert run_session(plain, channel, adv, m, 2) == tr
+            assert replay(strategy, m, tr.received) == replay(plain, m, tr.received) == tr.sent
 
 
 def test_replay_length_guard():

@@ -6,19 +6,29 @@ refactor cannot silently change the protocol.
 """
 
 import math
+import random
 
 import pytest
 
 from qfeedback.channels import (
     DirectionState,
     make_inverse_z_channel,
+    make_symmetric_channel,
     make_unidirectional_pair,
     make_z_channel,
 )
 from qfeedback.bounds import single_rubber_rate
 from qfeedback.codebook import DualRunConstraint, RunConstraint, unrank
-from qfeedback.session import GreedyAdversary, PassiveAdversary, PathAdversary, run_session
+from qfeedback.session import (
+    GreedyAdversary,
+    PassiveAdversary,
+    PathAdversary,
+    admissible_outputs,
+    advance_direction,
+    run_session,
+)
 from qfeedback.strategies import (
+    _push,
     identity_strategy,
     modified_rubber_strategy,
     rubber_stack_parse,
@@ -62,6 +72,40 @@ def test_parse_run_length_one():
     # every single 2 pops immediately; the first pop bumps 1 to 2,
     # which the re-check then pops as well
     assert got == [0]
+
+
+def tuple_fold(word, convention):
+    """The parse as the fold of the tuple _push, and how many pushes cascaded."""
+    stack, cascades = (), 0
+    for y in word:
+        after = _push(stack, y, **convention)
+        # each pass of _push's loop removes run_length entries
+        cascades += len(stack) + 1 - len(after) >= 2 * convention["run_length"]
+        stack = after
+    return list(stack), cascades
+
+
+@pytest.mark.parametrize(
+    "convention",
+    [
+        dict(rubber=2, correction=+1, run_length=2),
+        dict(rubber=0, correction=-1, run_length=2),
+        dict(rubber=3, correction=+1, run_length=3),
+        dict(rubber=0, correction=-1, run_length=1),
+    ],
+    ids=["z_r2", "invz_r2", "z_r3", "invz_r1"],
+)
+def test_list_parse_matches_the_tuple_fold(convention):
+    rng = random.Random(20240607)
+    rubber = convention["rubber"]
+    cascaded = 0
+    for _ in range(400):
+        # rubber-heavy words, so repairs happen and cascade
+        word = [rubber if rng.random() < 0.5 else rng.randrange(4) for _ in range(rng.randrange(40))]
+        expected, cascades = tuple_fold(word, convention)
+        assert rubber_stack_parse(word, **convention) == expected, word
+        cascaded += cascades > 0
+    assert cascaded >= 20
 
 
 # ------------------------------------------------------ modified rubber
@@ -273,6 +317,50 @@ def test_unidirectional_encoder_is_pure():
             a.encode_step((m + 1) % 17, ())
             assert a.encode_step(m, p) == first
             assert b.encode_step(m, p) == first
+
+
+# ------------------------------------------------------ declared states
+
+FOLD_CASES = {
+    "rubber_z": (lambda: modified_rubber_strategy(3, 2, "z", 6, 2), 2),
+    "rubber_invz": (lambda: modified_rubber_strategy(3, 1, "invz", 6, 2), 2),
+    "unirubber": (lambda: unidirectional_rubber_strategy(3, 2, 7, 1), 2),
+    "zero_error": (lambda: zero_error_unidirectional_strategy(3, 5), 3),
+    "identity": (lambda: identity_strategy(3, 3), 2),
+}
+FOLD_CHANNELS = {
+    "z": make_z_channel,
+    "invz": make_inverse_z_channel,
+    "sym": make_symmetric_channel,
+    "uni": make_unidirectional_pair,
+}
+
+
+@pytest.mark.parametrize("channel_id", FOLD_CHANNELS)
+@pytest.mark.parametrize("case", FOLD_CASES)
+def test_declared_fold_matches_encode_step(case, channel_id):
+    # at every node of the game tree, emit of the fold of feed over the
+    # received prefix from start(m) is the input encode_step gives
+    build, t = FOLD_CASES[case]
+    strategy = build()
+    channel = FOLD_CHANNELS[channel_id](3)
+    sender = strategy.sender
+    checked = 0
+    for m in range(strategy.message_count):
+        stack = [((), t, DirectionState.UNDECIDED)]
+        while stack:
+            received, budget, direction = stack.pop()
+            if len(received) == strategy.block_length:
+                continue
+            state = sender.start(m)
+            for y in received:
+                state = sender.feed(state, y)
+            x = strategy.encode_step(m, received)
+            assert sender.emit(state) == x, (m, received)
+            checked += 1
+            for y in admissible_outputs(channel, x, budget, direction):
+                stack.append((received + (y,), budget - (y != x), advance_direction(channel, direction, x, y)))
+    assert checked > strategy.message_count * strategy.block_length
 
 
 # ------------------------------------------------------------ identity

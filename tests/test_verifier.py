@@ -235,16 +235,28 @@ CHANNELS = {
 
 
 def full_walk(strategy, channel, t, node_budget):
-    # an on_transcript callback turns the memo off
+    # an on_transcript callback turns the memo off; the declared state stays
     return verify_successful(strategy, channel, t, node_budget=node_budget, on_transcript=lambda tr: None)
 
 
+def encode_step_walk(strategy, channel, t, node_budget):
+    # a replaced encode_step voids the declared Sender: encode_step at every node, no memo
+    plain = replace(strategy, encode_step=lambda m, y: strategy.encode_step(m, y))
+    return verify_successful(plain, channel, t, node_budget=node_budget)
+
+
 def assert_memo_matches_full_walk(strategy, channel, t):
-    """Every Verdict field agrees, uncapped and at every interesting node cap."""
-    tree = full_walk(strategy, channel, t, DEFAULT_NODE_BUDGET)
+    """Every Verdict field agrees, uncapped and at every interesting node cap.
+
+    The default walk (declared state and key) is checked against the walk
+    with the state but no key, and against the walk through encode_step.
+    """
+    tree = encode_step_walk(strategy, channel, t, DEFAULT_NODE_BUDGET)
+    assert full_walk(strategy, channel, t, DEFAULT_NODE_BUDGET) == tree
     assert verify_successful(strategy, channel, t) == tree
     for node_budget in (1, 37, 5_000, tree.nodes - 1, tree.nodes, tree.nodes + 1):
-        expected = full_walk(strategy, channel, t, node_budget)
+        expected = encode_step_walk(strategy, channel, t, node_budget)
+        assert full_walk(strategy, channel, t, node_budget) == expected, node_budget
         assert verify_successful(strategy, channel, t, node_budget=node_budget) == expected, node_budget
     return tree.outcome
 
@@ -256,11 +268,18 @@ RUBBER_SCHEMES = {
     "unirubber": lambda: unidirectional_rubber_strategy(3, 2, 9, 2),
 }
 
+# the schemes that declare a state but no key
+UNKEYED_SCHEMES = {
+    "zero_error": lambda: zero_error_unidirectional_strategy(3, 7),
+    "identity": lambda: identity_strategy(3, 4),
+}
+
 
 @pytest.mark.parametrize("channel_id", CHANNELS)
-@pytest.mark.parametrize("scheme", RUBBER_SCHEMES)
+@pytest.mark.parametrize("scheme", {**RUBBER_SCHEMES, **UNKEYED_SCHEMES})
 def test_memo_matches_full_walk(scheme, channel_id):
-    assert_memo_matches_full_walk(RUBBER_SCHEMES[scheme](), CHANNELS[channel_id](3), 2)
+    build = RUBBER_SCHEMES.get(scheme) or UNKEYED_SCHEMES[scheme]
+    assert_memo_matches_full_walk(build(), CHANNELS[channel_id](3), 2)
 
 
 @pytest.mark.parametrize(
@@ -279,8 +298,8 @@ def test_memo_matches_full_walk_past_skipped_subtrees(strategy, channel_id, t):
 
 def codeword_only(strategy):
     """The strategy with an unsound key: the codeword without the receiver stack."""
-    declared = strategy.memo_key
-    return replace(strategy, memo_key=declared._replace(key=lambda m, y, d: declared.key(m, y, d).codeword))
+    declared = strategy.sender
+    return replace(strategy, sender=declared._replace(key=lambda state, direction: state.codeword))
 
 
 def test_differential_check_catches_an_unsound_key():
