@@ -18,12 +18,13 @@ prefix) alone, which is what makes exhaustive game-tree search possible.
 Every scheme also declares its sender state (session.Sender): an immutable
 state, a start per message, a feed per delivered symbol and an emit of the
 next input.  The verifier, run_session and replay fold that state along
-their own path.  The rubber schemes' state is (codeword, phase, receiver
-stack), and their encode_step is the same fold, memoised along the last
-prefix asked for (see _path_memo_encoder); zero_error and identity keep
-their direct encode_step, and their state holds the message digits,
-computed once per message.  The two rubber schemes also declare a key for
-the verifier's transposition table; each builder's docstring gives the
+their own path, and every encode_step is derived from it.  The rubber
+schemes' state is (codeword, phase, receiver stack), and their encode_step
+is the fold memoised along the last prefix asked for (see
+_path_memo_encoder).  zero_error and identity hold the message digits,
+computed once per message, and their encode_step is the plain fold
+(_fold_encoder).  The two rubber schemes also declare a key for the
+verifier's transposition table; each builder's docstring gives the
 soundness argument.
 """
 
@@ -68,6 +69,18 @@ def rubber_stack_parse(symbols: Sequence[int], *, rubber: int, correction: int, 
             if stack:
                 stack[-1] += correction
     return stack
+
+
+def _fold_encoder(start: Callable[[int], object], feed: Callable[[object, int], object], emit: Callable[[object], int]):
+    """encode_step(m, prefix): emit of the fold of feed over prefix from start(m), kept nowhere."""
+
+    def encode_step(m: int, received_prefix: tuple[int, ...]) -> int:
+        state = start(m)
+        for y in received_prefix:
+            state = feed(state, y)
+        return emit(state)
+
+    return encode_step
 
 
 def _path_memo_encoder(start: Callable[[int], object], feed: Callable[[object, int], object], emit: Callable[[object], int]):
@@ -234,17 +247,6 @@ def zero_error_unidirectional_strategy(q: int, n: int) -> Strategy:
     base = (q + 1) // 2
     message_count = base ** (n - 1)
 
-    def encode_step(m: int, received_prefix: tuple[int, ...]) -> int:
-        i = len(received_prefix)
-        word = _digits(m, base, n - 1)
-        if i < n - 1:
-            return 2 * word[i]
-        sent = tuple(2 * d for d in word)
-        deltas = [y - x for x, y in zip(sent, received_prefix)]
-        if any(d > 0 for d in deltas):
-            return q - 1
-        return 0
-
     def decode(received: tuple[int, ...]) -> int:
         flag = received[-1]
         body = received[: n - 1]
@@ -272,6 +274,8 @@ def zero_error_unidirectional_strategy(q: int, n: int) -> Strategy:
         if i < n - 1:
             return 2 * word[i]
         return q - 1 if up else 0
+
+    encode_step = _fold_encoder(start, feed, emit)
 
     return Strategy(
         name=f"zero_error_unidirectional(q={q},n={n})",
@@ -430,9 +434,6 @@ def identity_strategy(q: int, n: int) -> Strategy:
         raise ValueError("need q >= 2 and n >= 1")
     message_count = q ** n
 
-    def encode_step(m: int, received_prefix: tuple[int, ...]) -> int:
-        return _digits(m, q, n)[len(received_prefix)]
-
     def decode(received: tuple[int, ...]) -> int:
         m = 0
         for y in received:
@@ -447,6 +448,8 @@ def identity_strategy(q: int, n: int) -> Strategy:
 
     def emit(state: tuple[tuple[int, ...], int]) -> int:
         return state[0][state[1]]
+
+    encode_step = _fold_encoder(start, feed, emit)
 
     return Strategy(
         name=f"identity(q={q},n={n})",
