@@ -69,7 +69,6 @@ class Strategy:
     """
 
     name: str
-    q: int
     message_count: int
     block_length: int
     encode_step: Callable[[int, tuple[int, ...]], int]

@@ -17,15 +17,16 @@ All encoders are pure: the next symbol is a function of (message, received
 prefix) alone, which is what makes exhaustive game-tree search possible.
 Every scheme also declares its sender state (session.Sender): an immutable
 state, a start per message, a feed per delivered symbol and an emit of the
-next input.  The verifier, run_session and replay fold that state along
-their own path, and every encode_step is derived from it.  The rubber
-schemes' state is (codeword, phase, receiver stack), and their encode_step
-is the fold memoised along the last prefix asked for (see
+next input, and builds its Strategy and Sender from that one declaration
+(_declared).  The verifier, run_session and replay fold that state along
+their own path, and every encode_step is derived from it.  The modified
+rubber state is (codeword, receiver stack) and the unidirectional rubber
+state is (codeword, position, phase, receiver stack); their encode_step is
+the fold memoised along the last prefix asked for (see
 _path_memo_encoder).  zero_error and identity hold the message digits,
-computed once per message, and their encode_step is the plain fold
-(_fold_encoder).  The two rubber schemes also declare a key for the
-verifier's transposition table; each builder's docstring gives the
-soundness argument.
+computed once per message, and their encode_step is the plain fold.  The
+two rubber schemes also declare a key for the verifier's transposition
+table; each builder's docstring gives the soundness argument.
 """
 
 from __future__ import annotations
@@ -71,16 +72,23 @@ def rubber_stack_parse(symbols: Sequence[int], *, rubber: int, correction: int, 
     return stack
 
 
-def _fold_encoder(start: Callable[[int], object], feed: Callable[[object, int], object], emit: Callable[[object], int]):
-    """encode_step(m, prefix): emit of the fold of feed over prefix from start(m), kept nowhere."""
+def _declared(name, message_count, block_length, decode, start, feed, emit, key=None, encode_step=None) -> Strategy:
+    """The Strategy declared by one sender fold, and its Sender.
 
-    def encode_step(m: int, received_prefix: tuple[int, ...]) -> int:
-        state = start(m)
-        for y in received_prefix:
-            state = feed(state, y)
-        return emit(state)
+    encode_step(m, prefix) is emit of the fold of feed over prefix from
+    start(m); by default that fold runs afresh on every call and is kept
+    nowhere.  A builder may pass an equivalent encode_step instead.
+    """
+    if encode_step is None:
 
-    return encode_step
+        def encode_step(m: int, received_prefix: tuple[int, ...]) -> int:
+            state = start(m)
+            for y in received_prefix:
+                state = feed(state, y)
+            return emit(state)
+
+    sender = Sender(encode_step, decode, start, feed, emit, key)
+    return Strategy(name, message_count, block_length, encode_step, decode, sender)
 
 
 def _path_memo_encoder(start: Callable[[int], object], feed: Callable[[object, int], object], emit: Callable[[object], int]):
@@ -212,17 +220,8 @@ def modified_rubber_strategy(q: int, r: int, side: str, n: int, t: int) -> Strat
     def sender_key(state: RubberState, direction: DirectionState) -> RubberState:
         return state
 
-    encode_step = _path_memo_encoder(start, feed, emit)
-
-    return Strategy(
-        name=f"modified_rubber(q={q},r={r},side={side},n={n},t={t})",
-        q=q,
-        message_count=message_count,
-        block_length=n,
-        encode_step=encode_step,
-        decode=decode,
-        sender=Sender(encode_step, decode, start, feed, emit, sender_key),
-    )
+    name = f"modified_rubber(q={q},r={r},side={side},n={n},t={t})"
+    return _declared(name, message_count, n, decode, start, feed, emit, sender_key, _path_memo_encoder(start, feed, emit))
 
 
 def zero_error_unidirectional_strategy(q: int, n: int) -> Strategy:
@@ -275,17 +274,7 @@ def zero_error_unidirectional_strategy(q: int, n: int) -> Strategy:
             return 2 * word[i]
         return q - 1 if up else 0
 
-    encode_step = _fold_encoder(start, feed, emit)
-
-    return Strategy(
-        name=f"zero_error_unidirectional(q={q},n={n})",
-        q=q,
-        message_count=message_count,
-        block_length=n,
-        encode_step=encode_step,
-        decode=decode,
-        sender=Sender(encode_step, decode, start, feed, emit),
-    )
+    return _declared(f"zero_error_unidirectional(q={q},n={n})", message_count, n, decode, start, feed, emit)
 
 
 class UniPhase(enum.Enum):
@@ -408,17 +397,8 @@ def unidirectional_rubber_strategy(q: int, r: int, n: int, t: int) -> Strategy:
             return state
         return None
 
-    encode_step = _path_memo_encoder(start, feed, emit)
-
-    return Strategy(
-        name=f"unidirectional_rubber(q={q},r={r},n={n},t={t})",
-        q=q,
-        message_count=message_count,
-        block_length=n,
-        encode_step=encode_step,
-        decode=decode,
-        sender=Sender(encode_step, decode, start, feed, emit, sender_key),
-    )
+    name = f"unidirectional_rubber(q={q},r={r},n={n},t={t})"
+    return _declared(name, message_count, n, decode, start, feed, emit, sender_key, _path_memo_encoder(start, feed, emit))
 
 
 def identity_strategy(q: int, n: int) -> Strategy:
@@ -449,14 +429,4 @@ def identity_strategy(q: int, n: int) -> Strategy:
     def emit(state: tuple[tuple[int, ...], int]) -> int:
         return state[0][state[1]]
 
-    encode_step = _fold_encoder(start, feed, emit)
-
-    return Strategy(
-        name=f"identity(q={q},n={n})",
-        q=q,
-        message_count=message_count,
-        block_length=n,
-        encode_step=encode_step,
-        decode=decode,
-        sender=Sender(encode_step, decode, start, feed, emit),
-    )
+    return _declared(f"identity(q={q},n={n})", message_count, n, decode, start, feed, emit)

@@ -30,10 +30,10 @@ its soundness), every subtree proven safe is stored, per message, under
 node with the same key adds that count to the node total instead of
 walking the subtree again, unless the count would cross the node cap, in
 which case the subtree is walked.  So the node count still counts the
-whole tree, and every Verdict field (outcome, counterexample, nodes,
-max_depth) equals the plain walk's.  The table is off when the Sender
-declares no key, when the adapter runs, and when an on_transcript callback
-is given, since the callback must see every leaf.
+whole tree, and every Verdict field (outcome, counterexample, nodes)
+equals the plain walk's.  The table is off when the Sender declares no
+key, when the adapter runs, and when an on_transcript callback is given,
+since the callback must see every leaf.
 """
 
 from __future__ import annotations
@@ -67,7 +67,6 @@ class Verdict:
     received: Optional[tuple[int, ...]] = None
     decoded: Optional[int] = None
     nodes: int = 0
-    max_depth: int = 0
 
     def to_json_dict(self) -> dict:
         data: dict = {"outcome": self.outcome, "nodes": self.nodes}
@@ -114,7 +113,7 @@ def verify_successful(
     sender_key = sender.key if on_transcript is None else None
     # (input, budget left, direction) -> that node's children
     children_of: dict = {}
-    nodes = max_depth = 0
+    nodes = 0
     for m in range(strategy.message_count):
         # key -> [node count of the subtree, once proven safe, else 0]
         memo: dict = {}
@@ -134,9 +133,7 @@ def verify_successful(
                 continue
             nodes += 1
             if nodes > node_budget:
-                return Verdict("inconclusive", nodes=nodes, max_depth=max_depth)
-            if depth > max_depth:
-                max_depth = depth
+                return Verdict("inconclusive", nodes=nodes)
             if depth:
                 received[depth - 1] = y
                 if depth < n:
@@ -148,7 +145,7 @@ def verify_successful(
                     errors = tuple(i for i, (a, b) in enumerate(zip(sent, word)) if a != b)
                     on_transcript(Transcript(tuple(sent), word, errors, direction, decoded))
                 if decoded != m:
-                    return Verdict("counterexample", m, tuple(sent), word, decoded, nodes, max_depth)
+                    return Verdict("counterexample", m, tuple(sent), word, decoded, nodes)
                 continue
             if sender_key is not None:
                 key = sender_key(state, direction)
@@ -156,7 +153,6 @@ def verify_successful(
                     # one hash per node: the cell is filled in when the subtree closes
                     cell = memo.setdefault((key, depth, budget, direction), [0])
                     size = cell[0]
-                    # a proven subtree reached depth n already, so max_depth stands
                     if size and nodes - 1 + size <= node_budget:
                         nodes += size - 1
                         continue
@@ -169,4 +165,4 @@ def verify_successful(
             depth += 1
             for y, left, after in children:
                 stack.append((depth, y, left, after, state))
-    return Verdict("success", nodes=nodes, max_depth=max_depth)
+    return Verdict("success", nodes=nodes)

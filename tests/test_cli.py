@@ -144,6 +144,36 @@ def test_verify_inconclusive_exit_code(tmp_path):
     assert json.loads(out.read_text())["outcome"] == "inconclusive"
 
 
+RUBBER_ARGS = ["--strategy", "modified_rubber", "--q", "2", "--n", "6", "--t", "1", "--r", "2"]
+RUBBER_REPORT = {"M": 8, "channel": "z", "n": 6, "strategy": "modified_rubber(q=2,r=2,side=z,n=6,t=1)", "t": 1}
+VERIFY_REPORTS = {
+    "success": (RUBBER_ARGS, 0, dict(RUBBER_REPORT, nodes=101, outcome="success")),
+    "counterexample": (
+        ["--strategy", "identity", "--q", "2", "--n", "2", "--t", "1"],
+        2,
+        {
+            "M": 4,
+            "channel": "z",
+            "counterexample": {"decoded": 0, "message": 1, "received": [0, 0], "sent": [0, 1]},
+            "n": 2,
+            "nodes": 6,
+            "outcome": "counterexample",
+            "strategy": "identity(q=2,n=2)",
+            "t": 1,
+        },
+    ),
+    "inconclusive": (RUBBER_ARGS + ["--budget", "2"], 3, dict(RUBBER_REPORT, nodes=3, outcome="inconclusive")),
+}
+
+
+@pytest.mark.parametrize("outcome", VERIFY_REPORTS)
+def test_verify_reports_are_pinned(tmp_path, outcome):
+    args, code, report = VERIFY_REPORTS[outcome]
+    out = tmp_path / "report.json"
+    assert main(["verify"] + args + ["--out", str(out)]) == code
+    assert out.read_text() == json.dumps(report, indent=2, sort_keys=True) + "\n"
+
+
 def test_verify_node_budget_below_one_is_a_usage_error(tmp_path):
     out = tmp_path / "nobudget.json"
     for budget in ("0", "-5"):

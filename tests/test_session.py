@@ -122,7 +122,7 @@ def test_message_and_budget_validation():
 def test_strategy_symbol_range_is_enforced():
     from qfeedback.session import Strategy
 
-    bad = Strategy("bad", 2, 1, 2, lambda m, y: 7, lambda y: 0)
+    bad = Strategy("bad", 1, 2, lambda m, y: 7, lambda y: 0)
     with pytest.raises(ValueError):
         run_session(bad, make_z_channel(2), PassiveAdversary(), 0, 1)
 

@@ -26,6 +26,7 @@ from qfeedback.session import (
     admissible_outputs,
     advance_direction,
     run_session,
+    sender_of,
 )
 from qfeedback.strategies import (
     _push,
@@ -306,20 +307,49 @@ def test_unidirectional_validation():
         unidirectional_rubber_strategy(3, 2, 6, -1)
 
 
-def test_unidirectional_encoder_is_pure():
-    a = unidirectional_rubber_strategy(3, 2, 6, 1)
-    b = unidirectional_rubber_strategy(3, 2, 6, 1)
-    prefixes = [(), (2,), (2, 0), (1, 1, 2), (0, 2, 2, 1), (1, 1, 1, 0, 0)]
-    for m in (0, 5, 11, 16):
-        for p in prefixes:
-            first = a.encode_step(m, p)
-            # interleave other calls, then repeat: no hidden state allowed
-            a.encode_step((m + 1) % 17, ())
-            assert a.encode_step(m, p) == first
-            assert b.encode_step(m, p) == first
-
-
 # ------------------------------------------------------ declared states
+
+# every built-in builder, both rubber sides, as a function of (q, n, t)
+BUILDERS = {
+    "rubber_z": lambda q, n, t: modified_rubber_strategy(q, 2, "z", n, t),
+    "rubber_invz": lambda q, n, t: modified_rubber_strategy(q, 2, "invz", n, t),
+    "unirubber": lambda q, n, t: unidirectional_rubber_strategy(q, 2, n, t),
+    "zero_error": lambda q, n, t: zero_error_unidirectional_strategy(q, n),
+    "identity": lambda q, n, t: identity_strategy(q, n),
+}
+
+
+@pytest.mark.parametrize("q, n, t", [(3, 6, 1), (4, 8, 2), (5, 4, 0)])
+@pytest.mark.parametrize("builder", BUILDERS)
+def test_every_builder_holds_its_declaration(builder, q, n, t):
+    # a builder that lost its Sender would still verify the same, through
+    # the adapter, but without the fold or the transposition table
+    strategy = BUILDERS[builder](q, n, t)
+    assert sender_of(strategy) is strategy.sender
+    assert strategy.sender.encode_step is strategy.encode_step
+    assert strategy.sender.decode is strategy.decode
+    assert (strategy.sender.key is not None) == ("rubber" in builder)
+
+
+@pytest.mark.parametrize("builder", BUILDERS)
+def test_encoder_is_pure(builder):
+    a = BUILDERS[builder](3, 6, 1)
+    b = BUILDERS[builder](3, 6, 1)
+    last = a.message_count - 1
+    messages = sorted({0, last // 3, last // 2, last})
+    prefixes = [(), (2,), (2, 0), (1, 1, 2), (0, 2, 2, 1), (1, 1, 1, 0, 0)]
+    # the second instance answers each question once, in the reverse order
+    expected = {(m, p): b.encode_step(m, p) for m in reversed(messages) for p in reversed(prefixes)}
+    for m in messages:
+        for p in prefixes:
+            assert a.encode_step(m, p) == expected[m, p]
+            # interleave other messages and prefixes, then repeat: no
+            # hidden state allowed
+            a.encode_step(last - m, ())
+            a.encode_step(m, p[::-1])
+            assert a.encode_step(m, p) == expected[m, p]
+            assert a.encode_step(m, p) == expected[m, p]
+
 
 FOLD_CASES = {
     "rubber_z": (lambda: modified_rubber_strategy(3, 2, "z", 6, 2), 2),

@@ -26,7 +26,6 @@ def test_identity_with_zero_budget_succeeds():
     s = identity_strategy(3, 2)
     v = verify_successful(s, make_z_channel(3), 0)
     assert v.outcome == "success"
-    assert v.max_depth == 2
 
 
 def test_identity_negative_control_is_deterministic():
@@ -104,7 +103,7 @@ def test_node_budget_boundary_is_exact():
     assert (cut.outcome, cut.nodes) == ("inconclusive", tree)
 
 
-BAD_SYMBOL_STRATEGY = Strategy("bad", 2, 1, 2, lambda m, y: 7, lambda y: 0)
+BAD_SYMBOL_STRATEGY = Strategy("bad", 1, 2, lambda m, y: 7, lambda y: 0)
 
 
 @pytest.mark.parametrize("t", [0, 1])
@@ -127,7 +126,6 @@ def test_zero_error_survives_full_budget():
     s = zero_error_unidirectional_strategy(4, 3)
     v = verify_successful(s, make_unidirectional_pair(4), 3)
     assert v.outcome == "success"
-    assert v.max_depth == 3
 
 
 def test_pigeonhole_consistency_with_message_bound():
@@ -211,11 +209,10 @@ def test_search_visits_leaves_in_recursive_order(strategy, channel, t):
         m, sent, received, _, decoded = expected[failing]
         assert (verdict.message, verdict.sent, verdict.received, verdict.decoded) == (m, sent, received, decoded)
         assert seen == [leaf[1:] for leaf in expected[: failing + 1]]
-    assert verdict.max_depth == strategy.block_length
 
 
 def test_verdict_json_for_counterexample():
-    v = Verdict("counterexample", message=1, sent=(0, 1), received=(0, 0), decoded=0, nodes=6, max_depth=2)
+    v = Verdict("counterexample", message=1, sent=(0, 1), received=(0, 0), decoded=0, nodes=6)
     assert v.to_json_dict() == {
         "outcome": "counterexample",
         "nodes": 6,
