@@ -3,11 +3,13 @@
 Rates are measured in base-q logarithm units throughout: 1.0 means one
 alphabet symbol of information per channel use.  Everything is plain
 float evaluation of closed forms except the zero-error linear program,
-which is solved in exact rational arithmetic.  It is solved in its packing
-form (maximize sum(x) subject to at most unit x-mass reaching each output,
+whose optimum is an exact rational.  It is solved in its packing form
+(maximize sum(x) subject to at most unit x-mass reaching each output,
 x >= 0), whose origin is a feasible basis, so one simplex phase suffices:
 no artificial variables, no feasibility phase.  The self-loops every
-channel graph carries keep that program bounded.
+channel graph carries keep that program bounded.  The simplex runs
+fraction-free (Edmonds 1967, Bareiss 1968): the tableau holds integers
+over one positive common denominator, so no step reduces a fraction.
 """
 
 from __future__ import annotations
@@ -43,7 +45,7 @@ def binary_entropy(x: float) -> float:
 # Zero-error capacity via an exact linear program
 
 
-def _max_packing(rows: list[list[Fraction]]) -> Fraction:
+def _max_packing(rows: list[list[int]]) -> Fraction:
     """Maximize the sum of the first n variables over the tableau rows.
 
     Row j is [a_j | e_j | 1]: a 0/1 packing constraint a_j.x <= 1 on the n
@@ -53,29 +55,50 @@ def _max_packing(rows: list[list[Fraction]]) -> Fraction:
     row, so it is at most 1: the program is bounded, and every entering
     column has a leaving row.  Bland's rule (lowest index entering, lowest
     basis index on ratio ties) keeps these degenerate bases from cycling.
+
+    The tableau is kept in integers: the true tableau is every entry over
+    one common denominator d > 0, which is the last pivot (1 at the start).
+    Pivoting on p = rows[leave][enter] > 0 leaves the pivot row as it is and
+    maps every other row to (x*p - f*y) // d, where f is the row's entry in
+    the entering column and y the pivot row's entry; then d becomes p.  The
+    division is exact: d is, up to sign, the determinant of the current
+    basis, so by Cramer's rule every entry, the reduced costs included, is
+    a minor of the original integer tableau.  Dividing by d > 0 changes no
+    sign and no ratio comparison, so the pivot sequence is the one the same
+    rule takes in rational arithmetic.
     """
     n = len(rows)
     basis = list(range(n, 2 * n))
     # Reduced costs of the maximization, then the objective value.
-    objective = [Fraction(-1)] * n + [Fraction(0)] * (n + 1)
+    objective = [-1] * n + [0] * (n + 1)
+    d = 1
     while True:
         enter = next((j for j in range(2 * n) if objective[j] < 0), None)
         if enter is None:
-            return objective[-1]
-        leave = best = None
+            return Fraction(objective[-1], d)
+        leave = None
         for r, row in enumerate(rows):
-            if row[enter] > 0:
-                ratio = row[-1] / row[enter]
-                if leave is None or ratio < best or (ratio == best and basis[r] < basis[leave]):
-                    leave, best = r, ratio
+            a = row[enter]
+            if a <= 0:
+                continue
+            # ratio row[-1] / a against the least so far, cross-multiplied
+            if leave is not None:
+                here, best = row[-1] * den, num * a
+                if here > best or (here == best and basis[r] > basis[leave]):
+                    continue
+            leave, num, den = r, row[-1], a
         pivot = rows[leave]
-        scale = pivot[enter]
-        pivot[:] = [x / scale for x in pivot]
+        p = pivot[enter]
         for row in rows + [objective]:
+            if row is pivot:
+                continue
             f = row[enter]
-            if row is not pivot and f != 0:
-                row[:] = [a - f * p if p else a for a, p in zip(row, pivot)]
+            if f:
+                row[:] = [(x * p - f * y) // d for x, y in zip(row, pivot)]
+            elif p != d:
+                row[:] = [x * p // d for x in row]
         basis[leave] = enter
+        d = p
 
 
 def min_max_output_mass(g: ChannelGraph) -> Fraction:
@@ -90,11 +113,11 @@ def min_max_output_mass(g: ChannelGraph) -> Fraction:
     symbols = sorted(g.symbols)
     index = {s: i for i, s in enumerate(symbols)}
     n = len(symbols)
-    rows = [[Fraction(0)] * (2 * n) + [Fraction(1)] for _ in range(n)]
+    rows = [[0] * (2 * n) + [1] for _ in range(n)]
     for r in range(n):
-        rows[r][n + r] = Fraction(1)
+        rows[r][n + r] = 1
     for i, j in g.edges:
-        rows[index[j]][index[i]] = Fraction(1)
+        rows[index[j]][index[i]] = 1
     return 1 / _max_packing(rows)
 
 
@@ -150,7 +173,14 @@ def run_growth_rate(q: int, r: int) -> float:
 def modified_rubber_bound(q: int, tau: float) -> float:
     """Best rubber-scheme rate at error fraction tau: max over run lengths
     r >= 2 of (1 - r*tau) * log_q(growth rate).  Zero beyond tau = 1/2; the
-    tau = 0 value is the limit 1."""
+    tau = 0 value is the limit 1.
+
+    The search over r stops once 1 - r*tau, with a little slack, falls
+    below the best rate so far.  The stop is exact: the growth rate is at
+    most q, so the rate of run length r is at most 1 - r*tau (also in
+    floats, since rounding is monotone), and 1 - r*tau only falls as r
+    grows, so no longer run can beat the best.  The result is the full
+    search's, bit for bit, after a handful of roots instead of ~1/tau."""
     _check_alphabet(q)
     _check_tau(tau)
     if tau == 0.0:
@@ -159,6 +189,8 @@ def modified_rubber_bound(q: int, tau: float) -> float:
         return 0.0
     best = 0.0
     for r in range(2, math.ceil(1.0 / tau) + 1):
+        if (1.0 - r * tau) * (1.0 + 1e-9) < best:
+            break
         rate = (1.0 - r * tau) * math.log(run_growth_rate(q, r)) / math.log(q)
         if rate > best:
             best = rate

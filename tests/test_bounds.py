@@ -2,7 +2,9 @@
 
 The LP oracle enumerates every basic feasible point of the covering
 program by brute force in exact rationals, so it shares no code path with
-the simplex implementation under test.
+the simplex implementation under test.  The rational-arithmetic simplex
+and the unbounded run-length search are kept here as references for the
+integer simplex and the early-stopping search.
 """
 
 import itertools
@@ -90,6 +92,43 @@ def oracle_min_max_mass(g):
     return best
 
 
+def fraction_max_packing(rows):
+    """The simplex in Fraction arithmetic: same tableau, same Bland's rule."""
+    n = len(rows)
+    basis = list(range(n, 2 * n))
+    objective = [Fraction(-1)] * n + [Fraction(0)] * (n + 1)
+    while True:
+        enter = next((j for j in range(2 * n) if objective[j] < 0), None)
+        if enter is None:
+            return objective[-1]
+        leave = best = None
+        for r, row in enumerate(rows):
+            if row[enter] > 0:
+                ratio = row[-1] / row[enter]
+                if leave is None or ratio < best or (ratio == best and basis[r] < basis[leave]):
+                    leave, best = r, ratio
+        pivot = rows[leave]
+        scale = pivot[enter]
+        pivot[:] = [x / scale for x in pivot]
+        for row in rows + [objective]:
+            f = row[enter]
+            if row is not pivot and f != 0:
+                row[:] = [a - f * p if p else a for a, p in zip(row, pivot)]
+        basis[leave] = enter
+
+
+def fraction_min_max_mass(g):
+    symbols = sorted(g.symbols)
+    index = {s: i for i, s in enumerate(symbols)}
+    n = len(symbols)
+    rows = [[Fraction(0)] * (2 * n) + [Fraction(1)] for _ in range(n)]
+    for r in range(n):
+        rows[r][n + r] = Fraction(1)
+    for i, j in g.edges:
+        rows[index[j]][index[i]] = Fraction(1)
+    return 1 / fraction_max_packing(rows)
+
+
 @pytest.mark.parametrize("factory", [make_z_channel, make_inverse_z_channel, make_symmetric_channel, make_star_channel])
 @pytest.mark.parametrize("q", [2, 3, 4])
 def test_lp_matches_vertex_enumeration(factory, q):
@@ -113,7 +152,25 @@ def test_lp_optimum_needs_a_slack_to_reenter():
     # a second), a simplex that never lets a slack re-enter stops at 1
     outputs = {0: (1, 2, 3, 4, 5), 1: (0, 2, 3, 4), 2: (3, 4, 5), 3: (1, 4), 4: (0, 2), 5: (1, 2, 3)}
     edges = {(i, i) for i in outputs} | {(i, j) for i, js in outputs.items() for j in js}
-    assert min_max_output_mass(ChannelGraph("six", 6, tuple(outputs), frozenset(edges))) == Fraction(2, 3)
+    g = ChannelGraph("six", 6, tuple(outputs), frozenset(edges))
+    assert min_max_output_mass(g) == fraction_min_max_mass(g) == Fraction(2, 3)
+
+
+@pytest.mark.parametrize("factory", [make_z_channel, make_inverse_z_channel, make_symmetric_channel, make_star_channel])
+def test_integer_simplex_matches_fraction_simplex(factory):
+    for q in range(2, 33):
+        g = factory(q)
+        assert min_max_output_mass(g) == fraction_min_max_mass(g), q
+
+
+def test_integer_simplex_matches_fraction_simplex_on_random_graphs():
+    rng = random.Random(909)
+    for k in range(200):
+        s = 2 + k % 9
+        density = rng.random()
+        edges = {(i, j) for i in range(s) for j in range(s) if i == j or rng.random() < density}
+        g = ChannelGraph("random", s, tuple(range(s)), frozenset(edges))
+        assert min_max_output_mass(g) == fraction_min_max_mass(g), sorted(edges)
 
 
 def test_z_channel_mass_closed_form():
@@ -223,6 +280,34 @@ def test_modified_rubber_bound_values():
     direct = max((1 - r * 0.05) * math.log(run_growth_rate(2, r)) / math.log(2) for r in range(2, 21))
     assert abs(modified_rubber_bound(2, 0.05) - direct) < 1e-12
     assert z3 > run_growth_rate(2, 2)
+
+
+def unbounded_rubber_bound(q, tau):
+    """modified_rubber_bound with every run length up to ceil(1/tau) tried."""
+    if tau == 0.0:
+        return 1.0
+    if tau > 0.5:
+        return 0.0
+    best = 0.0
+    for r in range(2, math.ceil(1.0 / tau) + 1):
+        rate = (1.0 - r * tau) * math.log(run_growth_rate(q, r)) / math.log(q)
+        if rate > best:
+            best = rate
+    return best
+
+
+def test_rubber_bound_early_stop_is_exact():
+    taus = [i / 100 for i in range(101)] + [0.0075, 1 / 3, 0.1234567]
+    for q in range(2, 10):
+        for tau in taus:
+            assert modified_rubber_bound(q, tau) == unbounded_rubber_bound(q, tau), (q, tau)
+
+
+def test_rubber_bound_solves_few_roots_at_small_tau():
+    # the full search would solve a root for each of the 999 run lengths
+    run_growth_rate.cache_clear()
+    modified_rubber_bound(3, 0.001)
+    assert run_growth_rate.cache_info().currsize <= 20
 
 
 def test_degree_two_bound_values():

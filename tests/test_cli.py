@@ -4,6 +4,7 @@ Most tests drive main() in process; subprocess tests cover the module
 entry point itself and reports across hash seeds.
 """
 
+import hashlib
 import json
 import math
 import os
@@ -49,6 +50,21 @@ def test_curves_csv_shape_and_values(tmp_path):
     for curve in curves:
         taus = [tau for tau, _, c in rows if c == curve]
         assert taus == sorted(taus)
+
+
+CURVES_SHA256 = {
+    (2, 0.01): "48932e4bdf907f4c8e63302237327819ffe57f29e2cf149fb97fad67da6aec1d",
+    (3, 0.001): "b061050d67734eddac0121582037eff130c594ef73121ac29eb2323b4ac44b77",
+    (8, 0.001): "939cd49a359fbf25016cfe83af729b44c08650ad4a6c328d77ef3e143bce4ce2",
+    (24, 0.005): "89dcbd3a95ef36d772e5ee2265ea1f3b1e69f8e7655b3daa408fea5ad6ddc00a",
+}
+
+
+@pytest.mark.parametrize("q,step", CURVES_SHA256)
+def test_curves_csv_is_pinned(tmp_path, q, step):
+    out = tmp_path / "curves.csv"
+    assert main(["curves", "--q", str(q), "--step", str(step), "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == CURVES_SHA256[q, step]
 
 
 def test_curves_include_degree_two_for_larger_alphabets(tmp_path):
@@ -272,20 +288,30 @@ def test_zcap_output(capsys):
     assert f"{mass.numerator}/{mass.denominator}" == "1/3"
 
 
-ZCAP_Q24 = {
-    "z": ("1/12", 0.7818957080144684, 24),
-    "invz": ("1/12", 0.7818957080144684, 24),
-    "sym": ("1/1", 0.0, 24),
-    "star": ("1/12", 0.7719796553163858, 25),
+ZCAP_REPORTS = {
+    # channel: {q: (min_max_output_mass, capacity, alphabet_size)}
+    "z": {5: ("1/3", 0.6826061944859854, 5), 24: ("1/12", 0.7818957080144684, 24)},
+    "invz": {5: ("1/3", 0.6826061944859854, 5), 24: ("1/12", 0.7818957080144684, 24)},
+    "sym": {5: ("1/1", 0.0, 5), 24: ("1/1", 0.0, 24)},
+    "star": {5: ("1/3", 0.6131471927654585, 6), 24: ("1/12", 0.7719796553163858, 25)},
 }
 
 
-@pytest.mark.parametrize("channel", sorted(ZCAP_Q24))
-def test_zcap_q24_reports_are_pinned(capsys, channel):
-    mass, capacity, size = ZCAP_Q24[channel]
-    assert main(["zcap", "--channel", channel, "--q", "24"]) == 0
-    report = {"alphabet_size": size, "capacity": capacity, "channel": channel, "min_max_output_mass": mass, "q": 24}
+def assert_zcap_report_is_pinned(capsys, channel, q):
+    mass, capacity, size = ZCAP_REPORTS[channel][q]
+    assert main(["zcap", "--channel", channel, "--q", str(q)]) == 0
+    report = {"alphabet_size": size, "capacity": capacity, "channel": channel, "min_max_output_mass": mass, "q": q}
     assert capsys.readouterr().out == json.dumps(report, indent=2, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("channel", sorted(ZCAP_REPORTS))
+def test_zcap_q5_reports_are_pinned(capsys, channel):
+    assert_zcap_report_is_pinned(capsys, channel, 5)
+
+
+@pytest.mark.parametrize("channel", sorted(ZCAP_REPORTS))
+def test_zcap_q24_reports_are_pinned(capsys, channel):
+    assert_zcap_report_is_pinned(capsys, channel, 24)
 
 
 def test_session_trace_output(capsys):
