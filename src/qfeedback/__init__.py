@@ -30,7 +30,6 @@ from .channels import (
     make_z_channel,
 )
 from .codebook import (
-    DualRunConstraint,
     RunConstraint,
     count,
     is_valid,
@@ -49,7 +48,6 @@ from .session import (
     run_session,
 )
 from .strategies import (
-    UniPhase,
     identity_strategy,
     modified_rubber_strategy,
     rubber_stack_parse,
@@ -70,7 +68,6 @@ __all__ = [
     "ChannelGraph",
     "DEFAULT_NODE_BUDGET",
     "DirectionState",
-    "DualRunConstraint",
     "GreedyAdversary",
     "PassiveAdversary",
     "PathAdversary",
@@ -78,7 +75,6 @@ __all__ = [
     "Sender",
     "Strategy",
     "Transcript",
-    "UniPhase",
     "UnidirectionalChannel",
     "Verdict",
     "binary_entropy",

@@ -247,21 +247,17 @@ def binary_symmetric_capacity(tau: float) -> float:
     return 0.0
 
 
-def single_rubber_rate(q: int):
-    """Rate curve of the plain one-symbol rubber scheme: (1-tau)*log_q(q-1).
+def single_rubber_rate(q: int, tau: float) -> float:
+    """Rate of the plain one-symbol rubber scheme: (1-tau)*log_q(q-1).
 
     Each error costs one extra position and the info alphabet loses one
-    symbol.  Returns a function of tau on [0, 1].
+    symbol.
     """
     _check_alphabet(q)
-
-    def rate(tau: float) -> float:
-        _check_tau(tau)
-        if q == 2:
-            return 0.0
-        return (1.0 - tau) * math.log(q - 1) / math.log(q)
-
-    return rate
+    _check_tau(tau)
+    if q == 2:
+        return 0.0
+    return (1.0 - tau) * math.log(q - 1) / math.log(q)
 
 
 def lower_envelope(q: int, tau: float) -> float:
@@ -273,7 +269,7 @@ def lower_envelope(q: int, tau: float) -> float:
     terms = [
         modified_rubber_bound(q, tau),
         math.log((q + 1) // 2) / math.log(q),
-        single_rubber_rate(q)(tau),
+        single_rubber_rate(q, tau),
     ]
     if q >= 3:
         terms.append(degree_two_bound(q, tau))

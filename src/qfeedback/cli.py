@@ -181,11 +181,6 @@ def _curves_job(args):
     return run
 
 
-def write_curves(q: int, step: float, path: str) -> None:
-    """CSV of every bound curve for one q, rows sorted by curve then tau."""
-    _curves_job(argparse.Namespace(q=q, step=step, out=path))()
-
-
 # ---------------------------------------------------------------------------
 # verify
 

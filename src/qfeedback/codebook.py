@@ -1,14 +1,15 @@
 """Counting, ranking, and unranking of run-avoiding q-ary strings.
 
 The message sets of the rubber strategies are the strings over {0..q-1}
-that never contain r consecutive copies of a reserved symbol.  Counting
-uses exact big integers throughout; ranks overflow 64 bits quickly and the
-message bijection has to be exact.
+that never contain r consecutive copies of a reserved symbol: one reserved
+symbol for the one-sided scheme, both ends of the alphabet for the
+unidirectional one.  Counting uses exact big integers throughout; ranks
+overflow 64 bits quickly and the message bijection has to be exact.
 
 The DP state while scanning a string left to right is the trailing run:
 (None, 0) when the last symbol is unreserved, (s, k) when the string ends
 with exactly k copies of reserved symbol s.  A string is valid iff no
-prefix reaches a run of the forbidden length.
+prefix reaches a run of length r.
 """
 
 from __future__ import annotations
@@ -22,91 +23,61 @@ _START: State = (None, 0)
 
 @dataclass(frozen=True)
 class RunConstraint:
-    """Forbid r consecutive copies of symbol b in a q-ary string."""
+    """Forbid r consecutive copies of any symbol in reserved in a q-ary string."""
 
     q: int
-    b: int
+    reserved: tuple[int, ...]
     r: int
 
     def __post_init__(self) -> None:
         if self.q < 2:
             raise ValueError(f"alphabet size must be at least 2, got {self.q}")
-        if not 0 <= self.b < self.q:
-            raise ValueError(f"reserved symbol {self.b} outside alphabet of size {self.q}")
-        if self.r < 1:
-            raise ValueError(f"run length must be at least 1, got {self.r}")
-
-    def forbidden_runs(self) -> tuple[tuple[int, int], ...]:
-        return ((self.b, self.r),)
-
-
-@dataclass(frozen=True)
-class DualRunConstraint:
-    """Forbid r-runs of two distinct symbols at once.
-
-    Used by the unidirectional strategy, whose codewords must dodge the
-    rubber runs of both committed directions.
-    """
-
-    q: int
-    first: int
-    second: int
-    r: int
-
-    def __post_init__(self) -> None:
-        if self.q < 2:
-            raise ValueError(f"alphabet size must be at least 2, got {self.q}")
-        for s in (self.first, self.second):
+        if not isinstance(self.reserved, tuple) or not self.reserved:
+            raise ValueError(f"reserved symbols must be a non-empty tuple, got {self.reserved!r}")
+        for s in self.reserved:
             if not 0 <= s < self.q:
                 raise ValueError(f"reserved symbol {s} outside alphabet of size {self.q}")
-        if self.first == self.second:
-            raise ValueError("the two reserved symbols must differ")
+        if len(set(self.reserved)) != len(self.reserved):
+            raise ValueError("the reserved symbols must differ")
         if self.r < 1:
             raise ValueError(f"run length must be at least 1, got {self.r}")
 
-    def forbidden_runs(self) -> tuple[tuple[int, int], ...]:
-        return ((self.first, self.r), (self.second, self.r))
 
-
-def _step(forbidden: tuple[tuple[int, int], ...], state: State, symbol: int) -> Optional[State]:
+def _step(constraint: RunConstraint, state: State, symbol: int) -> Optional[State]:
     """State after appending symbol, or None if that completes a forbidden run."""
-    limit = None
-    for s, r in forbidden:
-        if s == symbol:
-            limit = r
-            break
-    if limit is None:
+    if symbol not in constraint.reserved:
         return _START
     prev_sym, prev_run = state
     run = prev_run + 1 if prev_sym == symbol else 1
-    if run >= limit:
+    if run >= constraint.r:
         return None
     return (symbol, run)
 
 
-# (q, forbidden) -> table, where table[L][state] is the number of valid
+# constraint -> table, where table[L][state] is the number of valid
 # continuations of length L from state.  Rows are appended on demand.
-_SUFFIX_TABLES: dict[tuple[int, tuple[tuple[int, int], ...]], list[dict[State, int]]] = {}
+_SUFFIX_TABLES: dict[RunConstraint, list[dict[State, int]]] = {}
 
 
-def _suffix_counts(q: int, forbidden: tuple[tuple[int, int], ...], length: int) -> list[dict[State, int]]:
-    """The suffix-count table for (q, forbidden), with rows 0..length at least.
+def _suffix_counts(constraint: RunConstraint, length: int) -> list[dict[State, int]]:
+    """The suffix-count table for constraint, with rows 0..length at least.
 
     Built bottom-up, one row from the one before, so long blocks cost no
     recursion depth.
     """
-    table = _SUFFIX_TABLES.get((q, forbidden))
+    reserved = constraint.reserved
+    table = _SUFFIX_TABLES.get(constraint)
     if table is None:
-        states = [_START] + [(s, k) for s, r in forbidden for k in range(1, r)]
-        table = _SUFFIX_TABLES[(q, forbidden)] = [dict.fromkeys(states, 1)]
+        states = [_START] + [(s, k) for s in reserved for k in range(1, constraint.r)]
+        table = _SUFFIX_TABLES[constraint] = [dict.fromkeys(states, 1)]
     while len(table) <= length:
         prev = table[-1]
         # Unreserved symbols all lead to the same reset state.
-        free = (q - len(forbidden)) * prev[_START]
+        free = (constraint.q - len(reserved)) * prev[_START]
         row = dict.fromkeys(prev, free)
         for state in prev:
-            for s, _ in forbidden:
-                nxt = _step(forbidden, state, s)
+            for s in reserved:
+                nxt = _step(constraint, state, s)
                 if nxt is not None:
                     row[state] += prev[nxt]
         table.append(row)
@@ -117,16 +88,15 @@ def count(constraint, length: int) -> int:
     """Exact number of valid strings of the given length."""
     if length < 0:
         raise ValueError("length must be nonnegative")
-    return _suffix_counts(constraint.q, constraint.forbidden_runs(), length)[length][_START]
+    return _suffix_counts(constraint, length)[length][_START]
 
 
 def is_valid(constraint, word: Sequence[int]) -> bool:
-    forbidden = constraint.forbidden_runs()
     state: Optional[State] = _START
     for symbol in word:
         if not 0 <= symbol < constraint.q:
             return False
-        state = _step(forbidden, state, symbol)
+        state = _step(constraint, state, symbol)
         if state is None:
             return False
     return True
@@ -135,8 +105,7 @@ def is_valid(constraint, word: Sequence[int]) -> bool:
 def rank(constraint, word: Sequence[int]) -> int:
     """Lexicographic index of a valid word among all valid words of its length."""
     q = constraint.q
-    forbidden = constraint.forbidden_runs()
-    table = _suffix_counts(q, forbidden, len(word))
+    table = _suffix_counts(constraint, len(word))
     state: State = _START
     idx = 0
     for pos, symbol in enumerate(word):
@@ -144,10 +113,10 @@ def rank(constraint, word: Sequence[int]) -> int:
             raise ValueError(f"symbol {symbol} outside alphabet of size {q}")
         below = table[len(word) - pos - 1]
         for lower in range(symbol):
-            nxt = _step(forbidden, state, lower)
+            nxt = _step(constraint, state, lower)
             if nxt is not None:
                 idx += below[nxt]
-        nxt = _step(forbidden, state, symbol)
+        nxt = _step(constraint, state, symbol)
         if nxt is None:
             raise ValueError("word violates the run constraint")
         state = nxt
@@ -160,14 +129,13 @@ def unrank(constraint, length: int, idx: int) -> tuple[int, ...]:
     if not 0 <= idx < total:
         raise ValueError(f"index {idx} out of range for {total} words")
     q = constraint.q
-    forbidden = constraint.forbidden_runs()
-    table = _suffix_counts(q, forbidden, length)
+    table = _suffix_counts(constraint, length)
     state: State = _START
     word = []
     for pos in range(length):
         below = table[length - pos - 1]
         for symbol in range(q):
-            nxt = _step(forbidden, state, symbol)
+            nxt = _step(constraint, state, symbol)
             if nxt is None:
                 continue
             continuations = below[nxt]

@@ -9,9 +9,11 @@ Three schemes, plus a non-adaptive baseline:
   the symbol before it, which repairs one error at a cost of exactly r
   block positions.  No retransmission ever happens.
 * unidirectional_rubber_strategy: the rubber scheme when the error
-  direction is unknown in advance.  The sender commits a direction at the
-  first error (it sees every delivered symbol), and the last block position
-  carries a flag telling the receiver which parse to apply.
+  direction is unknown in advance.  The sender commits to the channel's
+  direction at the first error (it sees every delivered symbol), and the
+  last block position carries a flag telling the receiver which parse to
+  apply.  Its codebook reserves both ends of the alphabet where the
+  one-sided scheme reserves one.
 
 All encoders are pure: the next symbol is a function of (message, received
 prefix) alone, which is what makes exhaustive game-tree search possible.
@@ -21,21 +23,22 @@ next input, and builds its Strategy and Sender from that one declaration
 (_declared).  The verifier, run_session and replay fold that state along
 their own path, and every encode_step is derived from it.  The modified
 rubber state is (codeword, receiver stack) and the unidirectional rubber
-state is (codeword, position, phase, receiver stack); their encode_step is
-the fold memoised along the last prefix asked for (see
-_path_memo_encoder).  zero_error and identity hold the message digits,
-computed once per message, and their encode_step is the plain fold.  The
-two rubber schemes also declare a key for the verifier's transposition
-table; each builder's docstring gives the soundness argument.
+state is (codeword, position, phase, receiver stack), its phase the
+channel's DirectionState and its stack pushed from the first symbol on;
+their encode_step is the fold memoised along the last prefix asked for
+(see _path_memo_encoder).  zero_error and identity hold the message
+digits, computed once per message, and their encode_step is the plain
+fold.  The two rubber schemes also declare a key for the verifier's
+transposition table; each builder's docstring gives the soundness
+argument.
 """
 
 from __future__ import annotations
 
-import enum
 from typing import Callable, NamedTuple, Optional, Sequence
 
 from .channels import DirectionState
-from .codebook import DualRunConstraint, RunConstraint, count, is_valid, rank, unrank
+from .codebook import RunConstraint, count, is_valid, rank, unrank
 from .session import Sender, Strategy
 
 
@@ -200,7 +203,7 @@ def modified_rubber_strategy(q: int, r: int, side: str, n: int, t: int) -> Strat
         rubber, correction, fill = 0, -1, q - 1
     else:
         raise ValueError(f"side must be 'z' or 'invz', got {side!r}")
-    constraint = RunConstraint(q, rubber, r)
+    constraint = RunConstraint(q, (rubber,), r)
     message_count = count(constraint, k)
     convention = dict(rubber=rubber, correction=correction, run_length=r)
 
@@ -277,26 +280,17 @@ def zero_error_unidirectional_strategy(q: int, n: int) -> Strategy:
     return _declared(f"zero_error_unidirectional(q={q},n={n})", message_count, n, decode, start, feed, emit)
 
 
-class UniPhase(enum.Enum):
-    """Sender phase of the unidirectional rubber scheme."""
-
-    # equality is identity, so hash by identity too (Enum's own hash is
-    # Python code, and a phase is hashed on every feed)
-    __hash__ = object.__hash__
-
-    ASSUME_CLEAN = "assume_clean"
-    COMMITTED_DOWN = "committed_down"
-    COMMITTED_UP = "committed_up"
-
-
 class UniState(NamedTuple):
     """Sender state of the unidirectional rubber scheme."""
 
     codeword: tuple[int, ...]
     position: int
-    phase: UniPhase
-    # the receiver's parse under the committed convention; None while clean
-    stack: Optional[tuple[int, ...]]
+    # UNDECIDED while clean, else the direction of the first error
+    phase: DirectionState
+    # the receiver's parse of everything delivered so far: under the down
+    # convention while clean (a clean prefix parses to itself under either),
+    # under the committed one from the first error on
+    stack: tuple[int, ...]
 
 
 def unidirectional_rubber_strategy(q: int, r: int, n: int, t: int) -> Strategy:
@@ -322,11 +316,20 @@ def unidirectional_rubber_strategy(q: int, r: int, n: int, t: int) -> Strategy:
     clean block's flag 0 can only be corrupted to 1, which tells the
     receiver the prefix is verbatim.
 
+    The sender's phase is the channel's direction: UNDECIDED while clean,
+    NEGATIVE or POSITIVE once committed.  Its stack is pushed from the
+    first symbol on, under the down convention while clean and under the
+    committed one from the first error on, that error's symbol included.
+    No clean prefix holds an r-run of 0 or of q-1 (the codeword avoids
+    both, the filler is 1 then r-1 zeros), so either convention parses it
+    to itself, and pushing the first error onto it gives the committed
+    parse of the whole received prefix.
+
     Memo key: the sender state, at two kinds of node only.  With no error
-    yet, the received prefix is the clean prefix, fixed by (codeword,
-    position).  With the channel's direction committed, the flag is
-    immune, so decode applies the committed phase's parse, whose stack the
-    state holds.  Either way the state fixes every input below the node
+    yet, the received prefix is the clean prefix, and the state is fixed by
+    (codeword, position).  With the channel's direction committed, the flag
+    is immune, so decode applies the committed phase's parse, whose stack
+    the state holds.  Either way the state fixes every input below the node
     and every leaf's decode.  At any other node (an error on a channel
     that commits no direction, such as a graph) the adversary may corrupt
     the flag into a parse the state does not hold, and the key is None.
@@ -341,11 +344,11 @@ def unidirectional_rubber_strategy(q: int, r: int, n: int, t: int) -> Strategy:
     k = n - r * t - 1
     if k < 0:
         raise ValueError(f"block length {n} cannot host {t} repairs of cost {r} plus a flag")
-    constraint = DualRunConstraint(q, 0, q - 1, r)
+    constraint = RunConstraint(q, (0, q - 1), r)
     message_count = count(constraint, k)
     down = dict(rubber=q - 1, correction=+1, run_length=r)
     up = dict(rubber=0, correction=-1, run_length=r)
-    conventions = {UniPhase.COMMITTED_DOWN: down, UniPhase.COMMITTED_UP: up}
+    conventions = {DirectionState.UNDECIDED: down, DirectionState.NEGATIVE: down, DirectionState.POSITIVE: up}
 
     def clean_symbol(w: tuple[int, ...], i: int) -> int:
         # With no error so far, exactly i symbols stand delivered.
@@ -354,30 +357,25 @@ def unidirectional_rubber_strategy(q: int, r: int, n: int, t: int) -> Strategy:
         return 1 if (i - k) % r == 0 else 0
 
     def start(m: int) -> UniState:
-        return UniState(unrank(constraint, k, m), 0, UniPhase.ASSUME_CLEAN, None)
+        return UniState(unrank(constraint, k, m), 0, DirectionState.UNDECIDED, ())
 
     def emit(state: UniState) -> int:
         w, i, phase, stack = state
         if i == n - 1:
-            return q - 1 if phase is UniPhase.COMMITTED_UP else 0
-        if phase is UniPhase.ASSUME_CLEAN:
+            return q - 1 if phase is DirectionState.POSITIVE else 0
+        if phase is DirectionState.UNDECIDED:
             return clean_symbol(w, i)
-        if phase is UniPhase.COMMITTED_DOWN:
+        if phase is DirectionState.NEGATIVE:
             return _automaton_next(w, stack, q - 1, 0)
         return _automaton_next(w, stack, 0, q - 1)
 
     def feed(state: UniState, y: int) -> UniState:
         w, i, phase, stack = state
-        if phase is not UniPhase.ASSUME_CLEAN:
-            return UniState(w, i + 1, phase, _push(stack, y, **conventions[phase]))
-        x = emit(state)
-        if y == x:
-            return UniState(w, i + 1, phase, None)
-        # First error: commit, and parse what was delivered under the
-        # committed convention once.
-        phase = UniPhase.COMMITTED_UP if y > x else UniPhase.COMMITTED_DOWN
-        received = tuple(clean_symbol(w, j) for j in range(i)) + (y,)
-        return UniState(w, i + 1, phase, tuple(rubber_stack_parse(received, **conventions[phase])))
+        if phase is DirectionState.UNDECIDED:
+            x = emit(state)
+            if y != x:
+                phase = DirectionState.POSITIVE if y > x else DirectionState.NEGATIVE
+        return UniState(w, i + 1, phase, _push(stack, y, **conventions[phase]))
 
     def decode(received: tuple[int, ...]) -> int:
         flag = received[-1]
@@ -393,7 +391,7 @@ def unidirectional_rubber_strategy(q: int, r: int, n: int, t: int) -> Strategy:
         return _decode_word(constraint, stack[:k], message_count)
 
     def sender_key(state: UniState, direction: DirectionState) -> Optional[UniState]:
-        if state.phase is UniPhase.ASSUME_CLEAN or direction is not DirectionState.UNDECIDED:
+        if state.phase is DirectionState.UNDECIDED or direction is not DirectionState.UNDECIDED:
             return state
         return None
 

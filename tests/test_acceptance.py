@@ -22,7 +22,7 @@ from qfeedback.bounds import (
     binary_symmetric_capacity,
 )
 from qfeedback.channels import make_unidirectional_pair, make_z_channel
-from qfeedback.cli import write_curves
+from qfeedback.cli import main
 from qfeedback.codebook import RunConstraint, count, unrank
 from qfeedback.strategies import (
     identity_strategy,
@@ -142,7 +142,7 @@ def test_criterion_05_exhaustive_certifications():
         job_count += 1
         if verdict.outcome != "success":
             failures.append(f"rubber q={q} n={n} t={t}: {verdict.outcome}")
-        want = count(RunConstraint(q, q - 1, 2), n - 2 * t)
+        want = count(RunConstraint(q, (q - 1,), 2), n - 2 * t)
         if strategy.message_count != want or strategy.message_count != expected_m[(q, n, t)]:
             failures.append(f"rubber q={q} n={n} t={t}: M={strategy.message_count}")
         if elapsed >= JOB_TIME_LIMIT:
@@ -209,7 +209,7 @@ def test_criterion_08_one_way_advantage_in_emitted_csv(tmp_path):
     # between the tangency point and 1/3 the one-way channel strictly beats
     # the two-way channel, and the gap must be visible in the shipped CSV
     path = tmp_path / "curves_q2.csv"
-    write_curves(2, 0.01, str(path))
+    assert main(["curves", "--q", "2", "--step", "0.01", "--out", str(path)]) == 0
     table = {}
     for line in path.read_text().strip().split("\n")[1:]:
         tau, value, curve = line.split(",")
@@ -243,7 +243,7 @@ def test_criterion_09_amortized_transmission_cost():
             failures.append(f"q={q} n={n} t={t} not certified")
             continue
         k = n - 2 * t
-        constraint = RunConstraint(q, q - 1, 2)
+        constraint = RunConstraint(q, (q - 1,), 2)
         for tr in leaves:
             w = list(unrank(constraint, k, tr.decoded))
             checked += 1
@@ -265,7 +265,7 @@ def test_criterion_09_amortized_transmission_cost():
 
 
 def test_criterion_10_codebook_rate_meets_growth_rate():
-    got = math.log2(count(RunConstraint(2, 1, 2), 60)) / 60
+    got = math.log2(count(RunConstraint(2, (1,), 2), 60)) / 60
     want = math.log2(PHI)
     ok = abs(got - want) <= 0.02
     _report(10, ok, f"|{got:.5f} - {want:.5f}| = {abs(got - want):.5f}")

@@ -7,7 +7,6 @@ import pytest
 
 from qfeedback.bounds import run_growth_rate
 from qfeedback.codebook import (
-    DualRunConstraint,
     RunConstraint,
     count,
     is_valid,
@@ -18,7 +17,7 @@ from qfeedback.codebook import (
 
 def brute_valid(constraint, length):
     """Oracle: enumerate everything and filter by substring scan."""
-    runs = [(s,) * r for s, r in constraint.forbidden_runs()]
+    runs = [(s,) * constraint.r for s in constraint.reserved]
     out = []
     for word in itertools.product(range(constraint.q), repeat=length):
         bad = False
@@ -33,16 +32,16 @@ def brute_valid(constraint, length):
 
 
 SMALL_CONSTRAINTS = [
-    RunConstraint(2, 1, 1),
-    RunConstraint(2, 1, 2),
-    RunConstraint(2, 0, 3),
-    RunConstraint(3, 2, 2),
-    RunConstraint(3, 0, 2),
-    RunConstraint(4, 3, 2),
-    RunConstraint(4, 1, 3),
-    DualRunConstraint(3, 0, 2, 2),
-    DualRunConstraint(4, 0, 3, 2),
-    DualRunConstraint(4, 0, 3, 3),
+    RunConstraint(2, (1,), 1),
+    RunConstraint(2, (1,), 2),
+    RunConstraint(2, (0,), 3),
+    RunConstraint(3, (2,), 2),
+    RunConstraint(3, (0,), 2),
+    RunConstraint(4, (3,), 2),
+    RunConstraint(4, (1,), 3),
+    RunConstraint(3, (0, 2), 2),
+    RunConstraint(4, (0, 3), 2),
+    RunConstraint(4, (0, 3), 3),
 ]
 
 
@@ -59,16 +58,16 @@ def test_count_rank_unrank_against_enumeration(constraint, length):
 
 
 def test_frozen_small_counts():
-    fib = RunConstraint(2, 1, 2)
+    fib = RunConstraint(2, (1,), 2)
     assert [count(fib, n) for n in range(6)] == [1, 2, 3, 5, 8, 13]
-    assert count(RunConstraint(2, 1, 1), 3) == 1
-    assert count(RunConstraint(3, 2, 2), 4) == 60
-    assert count(DualRunConstraint(3, 0, 2, 2), 3) == 17
-    assert count(DualRunConstraint(3, 0, 2, 2), 4) == 41
+    assert count(RunConstraint(2, (1,), 1), 3) == 1
+    assert count(RunConstraint(3, (2,), 2), 4) == 60
+    assert count(RunConstraint(3, (0, 2), 2), 3) == 17
+    assert count(RunConstraint(3, (0, 2), 2), 4) == 41
 
 
 def test_lexicographic_order_frozen():
-    c = RunConstraint(2, 1, 2)
+    c = RunConstraint(2, (1,), 2)
     words = [unrank(c, 3, i) for i in range(count(c, 3))]
     assert words == [
         (0, 0, 0),
@@ -81,7 +80,7 @@ def test_lexicographic_order_frozen():
 
 
 def test_first_codeword_is_all_zero_when_zero_unreserved():
-    c = RunConstraint(3, 2, 2)
+    c = RunConstraint(3, (2,), 2)
     assert unrank(c, 6, 0) == (0,) * 6
 
 
@@ -89,14 +88,14 @@ def test_recurrence_matches_transfer_matrix():
     # avoiding an r-run of one symbol satisfies
     # count(n) = (q-1) * sum_{i=1..r} count(n-i)
     for q, r in [(2, 2), (3, 2), (3, 3), (5, 2)]:
-        c = RunConstraint(q, q - 1, r)
+        c = RunConstraint(q, (q - 1,), r)
         vals = [count(c, n) for n in range(r + 8)]
         for n in range(r, len(vals)):
             assert vals[n] == (q - 1) * sum(vals[n - i] for i in range(1, r + 1))
 
 
 def test_no_unranked_word_contains_forbidden_run():
-    c = RunConstraint(2, 1, 2)
+    c = RunConstraint(2, (1,), 2)
     total = count(c, 50)
     for idx in (0, 1, total // 3, total // 2, total - 2, total - 1):
         w = unrank(c, 50, idx)
@@ -107,15 +106,17 @@ def test_no_unranked_word_contains_forbidden_run():
 
 
 def test_dual_constraint_symmetric_under_relabeling():
-    # which two symbols are reserved cannot matter, only that there are two
-    a = DualRunConstraint(4, 0, 3, 2)
-    b = DualRunConstraint(4, 1, 2, 2)
+    # which two symbols are reserved, and in which order, cannot matter,
+    # only that there are two
+    a = RunConstraint(4, (0, 3), 2)
+    b = RunConstraint(4, (1, 2), 2)
+    c = RunConstraint(4, (3, 0), 2)
     for n in range(8):
-        assert count(a, n) == count(b, n)
+        assert count(a, n) == count(b, n) == count(c, n)
 
 
 def test_invalid_inputs():
-    c = RunConstraint(3, 2, 2)
+    c = RunConstraint(3, (2,), 2)
     with pytest.raises(ValueError):
         rank(c, (0, 2, 2))
     with pytest.raises(ValueError):
@@ -127,13 +128,17 @@ def test_invalid_inputs():
     with pytest.raises(ValueError):
         count(c, -1)
     with pytest.raises(ValueError):
-        RunConstraint(1, 0, 2)
+        RunConstraint(1, (0,), 2)
     with pytest.raises(ValueError):
-        RunConstraint(3, 3, 2)
+        RunConstraint(3, (3,), 2)
     with pytest.raises(ValueError):
-        RunConstraint(3, 0, 0)
+        RunConstraint(3, (0,), 0)
     with pytest.raises(ValueError):
-        DualRunConstraint(3, 1, 1, 2)
+        RunConstraint(3, (1, 1), 2)
+    with pytest.raises(ValueError):
+        RunConstraint(3, (), 2)
+    with pytest.raises(ValueError):
+        RunConstraint(4, (0, 3, 0), 2)
 
 
 def growth_estimate(constraint, length):
@@ -142,7 +147,7 @@ def growth_estimate(constraint, length):
 
 
 def test_growth_estimate_tends_to_dominant_root():
-    c = RunConstraint(2, 1, 2)
+    c = RunConstraint(2, (1,), 2)
     phi = (1 + math.sqrt(5)) / 2
     assert abs(growth_estimate(c, 40) - phi) < 0.02
     assert abs(run_growth_rate(2, 2) - phi) < 1e-12
@@ -154,7 +159,7 @@ def test_growth_estimate_tends_to_dominant_root():
 
 @pytest.mark.parametrize("q,r", [(2, 2), (3, 2), (4, 3)])
 def test_growth_estimate_consistent_with_root_finder(q, r):
-    c = RunConstraint(q, q - 1, r)
+    c = RunConstraint(q, (q - 1,), r)
     z = run_growth_rate(q, r)
     assert abs(growth_estimate(c, 60) - z) < 0.05
     # tighter in log scale, which is what the rate bounds use
@@ -165,8 +170,8 @@ def test_growth_estimate_consistent_with_root_finder(q, r):
 @pytest.mark.parametrize("q", [3, 4])
 def test_long_blocks_count_without_recursion(q):
     # no r = 1 string contains a reserved symbol at all
-    assert count(RunConstraint(q, 0, 1), 3000) == (q - 1) ** 3000
-    assert count(DualRunConstraint(q, 0, q - 1, 1), 3000) == (q - 2) ** 3000
-    c = RunConstraint(q, q - 1, 2)
+    assert count(RunConstraint(q, (0,), 1), 3000) == (q - 1) ** 3000
+    assert count(RunConstraint(q, (0, q - 1), 1), 3000) == (q - 2) ** 3000
+    c = RunConstraint(q, (q - 1,), 2)
     word = unrank(c, 3000, 10**100)
     assert is_valid(c, word) and rank(c, word) == 10**100

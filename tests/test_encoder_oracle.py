@@ -13,9 +13,9 @@ import random
 import pytest
 
 from qfeedback.channels import DirectionState, make_inverse_z_channel, make_unidirectional_pair, make_z_channel
-from qfeedback.codebook import DualRunConstraint, RunConstraint, unrank
+from qfeedback.codebook import RunConstraint, unrank
 from qfeedback.session import admissible_outputs, advance_direction
-from qfeedback.strategies import UniPhase, modified_rubber_strategy, unidirectional_rubber_strategy
+from qfeedback.strategies import modified_rubber_strategy, unidirectional_rubber_strategy
 from qfeedback.verifier import verify_successful
 
 
@@ -42,10 +42,13 @@ def reference_rubber_encoder(q, r, side, n, t):
     k = n - r * t
 
     def encode(m, prefix):
-        w = unrank(RunConstraint(q, rubber, r), k, m)
+        w = unrank(RunConstraint(q, (rubber,), r), k, m)
         return reference_automaton(w, reference_parse(prefix, rubber, correction, r), rubber, fill)
 
     return encode
+
+
+CLEAN, DOWN, UP = "clean", "down", "up"
 
 
 def reference_uni_encoder(q, r, n, t):
@@ -54,25 +57,25 @@ def reference_uni_encoder(q, r, n, t):
     def next_symbol(w, phase, prefix):
         i = len(prefix)
         if i == n - 1:
-            return q - 1 if phase is UniPhase.COMMITTED_UP else 0
-        if phase is UniPhase.ASSUME_CLEAN:
+            return q - 1 if phase == UP else 0
+        if phase == CLEAN:
             if i < k:
                 return w[i]
             return 1 if (i - k) % r == 0 else 0
-        if phase is UniPhase.COMMITTED_DOWN:
+        if phase == DOWN:
             return reference_automaton(w, reference_parse(prefix, q - 1, +1, r), q - 1, 0)
         return reference_automaton(w, reference_parse(prefix, 0, -1, r), 0, q - 1)
 
     def state_after(w, prefix):
-        phase = UniPhase.ASSUME_CLEAN
+        phase = CLEAN
         for j, y in enumerate(prefix):
             x = next_symbol(w, phase, prefix[:j])
-            if phase is UniPhase.ASSUME_CLEAN and y != x:
-                phase = UniPhase.COMMITTED_UP if y > x else UniPhase.COMMITTED_DOWN
+            if phase == CLEAN and y != x:
+                phase = UP if y > x else DOWN
         return phase
 
     def encode(m, prefix):
-        w = unrank(DualRunConstraint(q, 0, q - 1, r), k, m)
+        w = unrank(RunConstraint(q, (0, q - 1), r), k, m)
         return next_symbol(w, state_after(w, prefix), prefix)
 
     return encode

@@ -18,7 +18,7 @@ from qfeedback.channels import (
     make_z_channel,
 )
 from qfeedback.bounds import single_rubber_rate
-from qfeedback.codebook import DualRunConstraint, RunConstraint, unrank
+from qfeedback.codebook import RunConstraint, unrank
 from qfeedback.session import (
     GreedyAdversary,
     PassiveAdversary,
@@ -152,7 +152,7 @@ def test_modified_rubber_t_zero_sends_codeword_verbatim():
     s = modified_rubber_strategy(3, 2, "z", 5, 0)
     ch = make_z_channel(3)
     tr = run_session(s, ch, PassiveAdversary(), 7, 0)
-    assert tr.sent == unrank(RunConstraint(3, 2, 2), 5, 7)
+    assert tr.sent == unrank(RunConstraint(3, (2,), 2), 5, 7)
     assert tr.decoded == 7
 
 
@@ -245,7 +245,7 @@ def test_unidirectional_message_counts():
 def test_unidirectional_clean_block_layout():
     s = unidirectional_rubber_strategy(3, 2, 5, 1)
     pair = make_unidirectional_pair(3)
-    c = DualRunConstraint(3, 0, 2, 2)
+    c = RunConstraint(3, (0, 2), 2)
     for m in range(s.message_count):
         tr = run_session(s, pair, PassiveAdversary(), m, 1)
         w = unrank(c, 2, m)
@@ -305,6 +305,37 @@ def test_unidirectional_validation():
         unidirectional_rubber_strategy(3, 2, 2, 1)
     with pytest.raises(ValueError):
         unidirectional_rubber_strategy(3, 2, 6, -1)
+
+
+@pytest.mark.parametrize("t, k", [(1, 3), (2, 2)])
+@pytest.mark.parametrize("r", [2, 3, 4])
+@pytest.mark.parametrize("q", [3, 4, 5, 6])
+def test_unidirectional_clean_prefix_parses_to_itself(q, r, t, k):
+    # no clean prefix holds an r-run of 0 or of q-1, so both conventions
+    # parse it to itself, the clean state's stack is that prefix, and
+    # pushing a first error onto it is the committed parse of the whole
+    # received prefix
+    n = r * t + 1 + k
+    strategy = unidirectional_rubber_strategy(q, r, n, t)
+    sender = strategy.sender
+    down = dict(rubber=q - 1, correction=+1, run_length=r)
+    up = dict(rubber=0, correction=-1, run_length=r)
+    for m in range(strategy.message_count):
+        state = sender.start(m)
+        clean = ()
+        while len(clean) < n:
+            assert state.phase is DirectionState.UNDECIDED
+            assert state.stack == clean
+            assert rubber_stack_parse(clean, **down) == list(clean)
+            assert rubber_stack_parse(clean, **up) == list(clean)
+            x = sender.emit(state)
+            for y, phase, convention in ((x - 1, DirectionState.NEGATIVE, down), (x + 1, DirectionState.POSITIVE, up)):
+                if 0 <= y < q:
+                    erred = sender.feed(state, y)
+                    assert erred.phase is phase
+                    assert list(erred.stack) == rubber_stack_parse(clean + (y,), **convention)
+            state = sender.feed(state, x)
+            clean += (x,)
 
 
 # ------------------------------------------------------ declared states
@@ -415,19 +446,16 @@ def test_strategy_names_are_informative():
 
 
 def test_single_rubber_rate_values():
-    rate5 = single_rubber_rate(5)
-    assert abs(rate5(0.0) - math.log(4) / math.log(5)) < 1e-12
-    assert abs(rate5(0.5) - 0.5 * math.log(4) / math.log(5)) < 1e-12
-    assert rate5(1.0) == 0.0
-    rate2 = single_rubber_rate(2)
-    assert rate2(0.3) == 0.0
+    assert abs(single_rubber_rate(5, 0.0) - math.log(4) / math.log(5)) < 1e-12
+    assert abs(single_rubber_rate(5, 0.5) - 0.5 * math.log(4) / math.log(5)) < 1e-12
+    assert single_rubber_rate(5, 1.0) == 0.0
+    assert single_rubber_rate(2, 0.3) == 0.0
 
 
 def test_single_rubber_rate_domain():
-    rate = single_rubber_rate(4)
     with pytest.raises(ValueError):
-        rate(-0.1)
+        single_rubber_rate(4, -0.1)
     with pytest.raises(ValueError):
-        rate(1.5)
+        single_rubber_rate(4, 1.5)
     with pytest.raises(ValueError):
-        single_rubber_rate(1)
+        single_rubber_rate(1, 0.5)
