@@ -55,7 +55,8 @@ def _step(constraint: RunConstraint, state: State, symbol: int) -> Optional[Stat
 
 
 # constraint -> table, where table[L][state] is the number of valid
-# continuations of length L from state.  Rows are appended on demand.
+# continuations of length L from state.  A published table is never
+# mutated: a longer one replaces it.
 _SUFFIX_TABLES: dict[RunConstraint, list[dict[State, int]]] = {}
 
 
@@ -63,13 +64,18 @@ def _suffix_counts(constraint: RunConstraint, length: int) -> list[dict[State, i
     """The suffix-count table for constraint, with rows 0..length at least.
 
     Built bottom-up, one row from the one before, so long blocks cost no
-    recursion depth.
+    recursion depth.  The new rows go onto a private copy, published with
+    one assignment, so interleaved extensions never see a half-built table.
     """
     reserved = constraint.reserved
     table = _SUFFIX_TABLES.get(constraint)
     if table is None:
         states = [_START] + [(s, k) for s in reserved for k in range(1, constraint.r)]
-        table = _SUFFIX_TABLES[constraint] = [dict.fromkeys(states, 1)]
+        table = [dict.fromkeys(states, 1)]
+    elif len(table) > length:
+        return table
+    else:
+        table = list(table)
     while len(table) <= length:
         prev = table[-1]
         # Unreserved symbols all lead to the same reset state.
@@ -81,6 +87,7 @@ def _suffix_counts(constraint: RunConstraint, length: int) -> list[dict[State, i
                 if nxt is not None:
                     row[state] += prev[nxt]
         table.append(row)
+    _SUFFIX_TABLES[constraint] = table
     return table
 
 

@@ -21,21 +21,21 @@ Every scheme also declares its sender state (session.Sender): an immutable
 state, a start per message, a feed per delivered symbol and an emit of the
 next input, and builds its Strategy and Sender from that one declaration
 (_declared).  The verifier, run_session and replay fold that state along
-their own path, and every encode_step is derived from it.  The modified
-rubber state is (codeword, receiver stack) and the unidirectional rubber
-state is (codeword, position, phase, receiver stack), its phase the
-channel's DirectionState and its stack pushed from the first symbol on;
-their encode_step is the fold memoised along the last prefix asked for
-(see _path_memo_encoder).  zero_error and identity hold the message
-digits, computed once per message, and their encode_step is the plain
-fold.  The two rubber schemes also declare a key for the verifier's
-transposition table; each builder's docstring gives the soundness
-argument.
+their own path, and every encode_step is the plain fold: emit of the
+fold of feed over the received prefix from start(m), run afresh on each
+call.  So a built-in Strategy holds no mutable state, and one may be
+shared across threads.  The modified rubber state is (codeword, receiver
+stack) and the unidirectional rubber state is (codeword, position, phase,
+receiver stack), its phase the channel's DirectionState and its stack
+pushed from the first symbol on.  zero_error and identity hold the
+message digits, computed once per message.  The two rubber schemes also
+declare a key for the verifier's transposition table; each builder's
+docstring gives the soundness argument.
 """
 
 from __future__ import annotations
 
-from typing import Callable, NamedTuple, Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .channels import DirectionState
 from .codebook import RunConstraint, count, is_valid, rank, unrank
@@ -75,57 +75,22 @@ def rubber_stack_parse(symbols: Sequence[int], *, rubber: int, correction: int, 
     return stack
 
 
-def _declared(name, message_count, block_length, decode, start, feed, emit, key=None, encode_step=None) -> Strategy:
+def _declared(name, message_count, block_length, decode, start, feed, emit, key=None) -> Strategy:
     """The Strategy declared by one sender fold, and its Sender.
 
     encode_step(m, prefix) is emit of the fold of feed over prefix from
-    start(m); by default that fold runs afresh on every call and is kept
-    nowhere.  A builder may pass an equivalent encode_step instead.
+    start(m).  That fold runs afresh on every call and is kept nowhere, so
+    a built-in Strategy holds no mutable state.
     """
-    if encode_step is None:
 
-        def encode_step(m: int, received_prefix: tuple[int, ...]) -> int:
-            state = start(m)
-            for y in received_prefix:
-                state = feed(state, y)
-            return emit(state)
+    def encode_step(m: int, received_prefix: tuple[int, ...]) -> int:
+        state = start(m)
+        for y in received_prefix:
+            state = feed(state, y)
+        return emit(state)
 
     sender = Sender(encode_step, decode, start, feed, emit, key)
     return Strategy(name, message_count, block_length, encode_step, decode, sender)
-
-
-def _path_memo_encoder(start: Callable[[int], object], feed: Callable[[object, int], object], emit: Callable[[object], int]):
-    """encode_step(m, prefix): emit of the fold of feed over prefix from start(m).
-
-    Callers that hold no state (external code, and any walk of a strategy
-    whose declared Sender no longer applies) go through this.  The states
-    along the last prefix asked for are kept: a prefix that extends the
-    path, or branches off it at its last symbol (a DFS child or sibling,
-    the next session step, the next replay position), costs one feed; any
-    other prefix folds from start(m).  The memo is checked against
-    (m, prefix) on every call, so encode_step stays a function of its
-    arguments alone.  The memo is not locked: give each thread its own
-    strategy.
-    """
-    memo_m: Optional[int] = None
-    path: tuple[int, ...] = ()
-    # states[i] is the state after path[:i], for every i < len(states)
-    states: list = []
-
-    def encode_step(m: int, received_prefix: tuple[int, ...]) -> int:
-        nonlocal memo_m, path
-        prefix = tuple(received_prefix)
-        if m != memo_m:
-            memo_m, path, states[:] = m, (), [start(m)]
-        j = len(prefix) - 1
-        keep = j if 0 < j < len(states) and prefix[:j] == path[:j] else 0
-        del states[keep + 1 :]
-        path = prefix
-        for y in prefix[keep:]:
-            states.append(feed(states[-1], y))
-        return emit(states[-1])
-
-    return encode_step
 
 
 def _automaton_next(w: tuple[int, ...], stack: tuple[int, ...], rubber: int, fill: int) -> int:
@@ -224,7 +189,7 @@ def modified_rubber_strategy(q: int, r: int, side: str, n: int, t: int) -> Strat
         return state
 
     name = f"modified_rubber(q={q},r={r},side={side},n={n},t={t})"
-    return _declared(name, message_count, n, decode, start, feed, emit, sender_key, _path_memo_encoder(start, feed, emit))
+    return _declared(name, message_count, n, decode, start, feed, emit, sender_key)
 
 
 def zero_error_unidirectional_strategy(q: int, n: int) -> Strategy:
@@ -396,7 +361,7 @@ def unidirectional_rubber_strategy(q: int, r: int, n: int, t: int) -> Strategy:
         return None
 
     name = f"unidirectional_rubber(q={q},r={r},n={n},t={t})"
-    return _declared(name, message_count, n, decode, start, feed, emit, sender_key, _path_memo_encoder(start, feed, emit))
+    return _declared(name, message_count, n, decode, start, feed, emit, sender_key)
 
 
 def identity_strategy(q: int, n: int) -> Strategy:

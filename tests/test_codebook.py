@@ -5,6 +5,7 @@ import math
 
 import pytest
 
+from qfeedback import codebook
 from qfeedback.bounds import run_growth_rate
 from qfeedback.codebook import (
     RunConstraint,
@@ -175,3 +176,28 @@ def test_long_blocks_count_without_recursion(q):
     c = RunConstraint(q, (q - 1,), 2)
     word = unrank(c, 3000, 10**100)
     assert is_valid(c, word) and rank(c, word) == 10**100
+
+
+def test_interleaved_table_extensions_publish_whole_tables(monkeypatch):
+    # one extension of a constraint's table runs inside another, mid-row, as
+    # when two threads share a strategy; every count must still equal a
+    # fresh table's
+    constraint = RunConstraint(3, (2,), 2)
+    monkeypatch.setattr(codebook, "_SUFFIX_TABLES", {})
+    fresh = [count(constraint, length) for length in range(14)]
+    assert fresh[13] == 508_992
+    monkeypatch.setattr(codebook, "_SUFFIX_TABLES", {})
+    assert count(constraint, 2) == fresh[2]
+    step = codebook._step
+    interleaved = []
+
+    def step_with_an_interleaved_extension(*args):
+        if not interleaved:
+            interleaved.append(constraint)
+            codebook._suffix_counts(constraint, 6)
+        return step(*args)
+
+    monkeypatch.setattr(codebook, "_step", step_with_an_interleaved_extension)
+    assert count(constraint, 13) == fresh[13]
+    assert interleaved
+    assert [count(constraint, length) for length in range(14)] == fresh

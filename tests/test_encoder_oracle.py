@@ -136,7 +136,7 @@ def test_encode_step_matches_the_reparsing_reference(build, reference, build_cha
         assert [strategy.encode_step(m, prefix) for prefix, _ in nodes] == [x for _, x in nodes]
         calls += [(m, prefix, x) for prefix, x in nodes]
 
-    # interleaved messages and unrelated prefixes defeat the path memo
+    # interleaved messages and unrelated prefixes: encode_step keeps no state between calls
     random.Random(2001).shuffle(calls)
     fresh = build()
     assert [fresh.encode_step(m, prefix) for m, prefix, _ in calls] == [x for _, _, x in calls]
