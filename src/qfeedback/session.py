@@ -18,14 +18,15 @@ Channel = Union[ChannelGraph, UnidirectionalChannel]
 
 
 class Sender(NamedTuple):
-    """The sender's state, declared for one pair of encode_step and decode.
+    """A declared sender state; called, it is a strategy's encode_step.
 
     start(message) is the state before the first symbol, feed(state, y)
-    the state once y is delivered, and emit(state) the next input, so that
-    encode_step(m, y) equals emit applied to the fold of feed over y from
-    start(m), for every received prefix y.  The verifier, run_session and
-    replay fold the state along their own path, one feed per delivered
-    symbol.
+    the state once y is delivered, and emit(state) the next input.
+    Called as sender(message, received_prefix), it is emit of the fold of
+    feed over the prefix from start(message), run afresh on every call, so
+    a Sender is a strategy's encode_step.  The verifier, run_session and
+    replay fold the state along their own path instead, one feed per
+    delivered symbol.
 
     key, when not None, turns on the verifier's transposition table:
     key(state, direction) returns a hashable summary of the state, or None
@@ -33,15 +34,21 @@ class Sender(NamedTuple):
     message, two nodes with equal keys at the same depth, budget left and
     channel direction must root identical subtrees (the same inputs, the
     same outputs and the same decode at every leaf), so that one proof of
-    safety, and one node count, serves both.
+    safety, and one node count, serves both.  A key is sound only beside
+    the decode it was declared for, which is why a Sender holds decode.
     """
 
-    encode_step: Callable[[int, tuple[int, ...]], int]
-    decode: Callable[[tuple[int, ...]], int]
     start: Callable[[int], Any]
     feed: Callable[[Any, int], Any]
     emit: Callable[[Any], int]
+    decode: Callable[[tuple[int, ...]], int]
     key: Optional[Callable[[Any, DirectionState], Optional[Hashable]]] = None
+
+    def __call__(self, message: int, received_prefix: tuple[int, ...]) -> int:
+        state = self.start(message)
+        for y in received_prefix:
+            state = self.feed(state, y)
+        return self.emit(state)
 
 
 @dataclass(frozen=True)
@@ -50,22 +57,18 @@ class Strategy:
 
     encode_step maps (message, received prefix) to the next input symbol and
     must depend on nothing else; decode maps a full received word to a
-    message and sees no feedback-side state.
+    message and sees no feedback-side state.  encode_step is a declared
+    Sender, or any function of (message, prefix).
 
-    sender, when given, declares the state behind encode_step (see
-    Sender): the verifier, run_session and replay then feed one delivered
-    symbol per step instead of asking encode_step about each prefix.  A
-    declared key also turns on the verifier's transposition table, with no
-    further flag: each subtree is proven safe once per sender key, and a
-    repeat adds the stored node count, so a verdict's nodes still counts
-    the whole tree (see the verifier module for the walk).  Each strategy
-    that declares a key states in its docstring why the key is sound.
-
-    The declaration holds only for the encode_step and decode it was made
-    with: a copy whose encode_step or decode was replaced (by
-    dataclasses.replace, say) is driven through encode_step at every step,
-    with no table, exactly as when sender is None.  A verification given
-    an on_transcript callback folds the declared state but uses no key.
+    The verifier, run_session and replay fold a declared Sender's state,
+    one feed per delivered symbol, and ask any other encode_step about each
+    prefix.  A declared key also turns on the verifier's transposition
+    table, with no further flag: each subtree is proven safe once per
+    sender key, and a repeat adds the stored node count, so a verdict's
+    nodes still counts the whole tree (see the verifier module for the
+    walk).  Each strategy that declares a key states in its docstring why
+    the key is sound; a strategy whose decode is not its Sender's keeps
+    the fold but no key.
     """
 
     name: str
@@ -73,7 +76,6 @@ class Strategy:
     block_length: int
     encode_step: Callable[[int, tuple[int, ...]], int]
     decode: Callable[[tuple[int, ...]], int]
-    sender: Optional[Sender] = None
 
 
 def _prefix_start(message: int) -> tuple[int, tuple[int, ...]]:
@@ -85,16 +87,16 @@ def _prefix_feed(state: tuple[int, tuple[int, ...]], y: int) -> tuple[int, tuple
 
 
 def sender_of(strategy: Strategy) -> Sender:
-    """The declared Sender while it fits the strategy's callables.
+    """The Sender to walk: encode_step itself when it is one.
 
-    Otherwise an adapter: its state is (message, received prefix), its
-    emit calls encode_step, and it has no key.
+    Its key is dropped when decode is not the one it was declared for.
+    Any other encode_step gets an adapter: its state is (message, received
+    prefix), its emit calls encode_step, and it has no key.
     """
-    declared = strategy.sender
-    if declared is not None and declared.encode_step is strategy.encode_step and declared.decode is strategy.decode:
-        return declared
-    encode_step = strategy.encode_step
-    return Sender(encode_step, strategy.decode, _prefix_start, _prefix_feed, lambda state: encode_step(*state))
+    step = strategy.encode_step
+    if isinstance(step, Sender):
+        return step if step.decode is strategy.decode else step._replace(key=None)
+    return Sender(_prefix_start, _prefix_feed, lambda state: step(*state), strategy.decode)
 
 
 @dataclass(frozen=True)
@@ -224,6 +226,7 @@ def replay(strategy: Strategy, message: int, received: Sequence[int]) -> tuple[i
     Determinism audit: for any completed Transcript, replay(strategy, m, y)
     must reproduce x exactly.
     """
+    check_message(strategy, message)
     y = tuple(received)
     if len(y) > strategy.block_length:
         raise ValueError("received word longer than the block")

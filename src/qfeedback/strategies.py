@@ -17,20 +17,18 @@ Three schemes, plus a non-adaptive baseline:
 
 All encoders are pure: the next symbol is a function of (message, received
 prefix) alone, which is what makes exhaustive game-tree search possible.
-Every scheme also declares its sender state (session.Sender): an immutable
-state, a start per message, a feed per delivered symbol and an emit of the
-next input, and builds its Strategy and Sender from that one declaration
-(_declared).  The verifier, run_session and replay fold that state along
-their own path, and every encode_step is the plain fold: emit of the
-fold of feed over the received prefix from start(m), run afresh on each
-call.  So a built-in Strategy holds no mutable state, and one may be
-shared across threads.  The modified rubber state is (codeword, receiver
-stack) and the unidirectional rubber state is (codeword, position, phase,
-receiver stack), its phase the channel's DirectionState and its stack
-pushed from the first symbol on.  zero_error and identity hold the
-message digits, computed once per message.  The two rubber schemes also
-declare a key for the verifier's transposition table; each builder's
-docstring gives the soundness argument.
+Every scheme's encode_step is its declared sender (session.Sender): an
+immutable state, a start per message, a feed per delivered symbol and an
+emit of the next input.  The verifier, run_session and replay fold that
+state along their own path; called on (message, prefix), the Sender runs
+the fold afresh.  So a built-in Strategy holds no mutable state, and one
+may be shared across threads.  The modified rubber state is (codeword,
+receiver stack) and the unidirectional rubber state is (codeword,
+position, phase, receiver stack), its phase the channel's DirectionState
+and its stack pushed from the first symbol on.  zero_error and identity
+hold the message digits, computed once per message.  The two rubber
+schemes also declare a key for the verifier's transposition table; each
+builder's docstring gives the soundness argument.
 """
 
 from __future__ import annotations
@@ -73,24 +71,6 @@ def rubber_stack_parse(symbols: Sequence[int], *, rubber: int, correction: int, 
             if stack:
                 stack[-1] += correction
     return stack
-
-
-def _declared(name, message_count, block_length, decode, start, feed, emit, key=None) -> Strategy:
-    """The Strategy declared by one sender fold, and its Sender.
-
-    encode_step(m, prefix) is emit of the fold of feed over prefix from
-    start(m).  That fold runs afresh on every call and is kept nowhere, so
-    a built-in Strategy holds no mutable state.
-    """
-
-    def encode_step(m: int, received_prefix: tuple[int, ...]) -> int:
-        state = start(m)
-        for y in received_prefix:
-            state = feed(state, y)
-        return emit(state)
-
-    sender = Sender(encode_step, decode, start, feed, emit, key)
-    return Strategy(name, message_count, block_length, encode_step, decode, sender)
 
 
 def _automaton_next(w: tuple[int, ...], stack: tuple[int, ...], rubber: int, fill: int) -> int:
@@ -189,7 +169,7 @@ def modified_rubber_strategy(q: int, r: int, side: str, n: int, t: int) -> Strat
         return state
 
     name = f"modified_rubber(q={q},r={r},side={side},n={n},t={t})"
-    return _declared(name, message_count, n, decode, start, feed, emit, sender_key)
+    return Strategy(name, message_count, n, Sender(start, feed, emit, decode, sender_key), decode)
 
 
 def zero_error_unidirectional_strategy(q: int, n: int) -> Strategy:
@@ -242,7 +222,8 @@ def zero_error_unidirectional_strategy(q: int, n: int) -> Strategy:
             return 2 * word[i]
         return q - 1 if up else 0
 
-    return _declared(f"zero_error_unidirectional(q={q},n={n})", message_count, n, decode, start, feed, emit)
+    name = f"zero_error_unidirectional(q={q},n={n})"
+    return Strategy(name, message_count, n, Sender(start, feed, emit, decode), decode)
 
 
 class UniState(NamedTuple):
@@ -361,7 +342,7 @@ def unidirectional_rubber_strategy(q: int, r: int, n: int, t: int) -> Strategy:
         return None
 
     name = f"unidirectional_rubber(q={q},r={r},n={n},t={t})"
-    return _declared(name, message_count, n, decode, start, feed, emit, sender_key)
+    return Strategy(name, message_count, n, Sender(start, feed, emit, decode, sender_key), decode)
 
 
 def identity_strategy(q: int, n: int) -> Strategy:
@@ -392,4 +373,4 @@ def identity_strategy(q: int, n: int) -> Strategy:
     def emit(state: tuple[tuple[int, ...], int]) -> int:
         return state[0][state[1]]
 
-    return _declared(f"identity(q={q},n={n})", message_count, n, decode, start, feed, emit)
+    return Strategy(f"identity(q={q},n={n})", message_count, n, Sender(start, feed, emit, decode), decode)

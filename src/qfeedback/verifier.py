@@ -12,11 +12,10 @@ adversary path for the least failing message, and repeated runs agree
 bit for bit.  The walk keeps an explicit stack, so deep blocks cannot
 exhaust the recursion limit.
 
-The walk carries the sender's state (session.Sender).  Each pending child
-on the stack holds its parent's state; a node's state is
+The walk carries the sender's state (session.sender_of).  Each pending
+child on the stack holds its parent's state; a node's state is
 feed(parent state, its received symbol), the root's is start(message),
-and a node's input is emit(state).  A strategy that declares no Sender, or
-whose encode_step or decode is no longer the one it was declared with,
+and a node's input is emit(state).  An encode_step that is not a Sender
 gets the adapter state (message, received prefix) with emit calling
 encode_step, in the same loop.  A node's children depend only on (input,
 budget left, direction), so they are built once per search, through
@@ -32,8 +31,9 @@ walking the subtree again, unless the count would cross the node cap, in
 which case the subtree is walked.  So the node count still counts the
 whole tree, and every Verdict field (outcome, counterexample, nodes)
 equals the plain walk's.  The table is off when the Sender declares no
-key, when the adapter runs, and when an on_transcript callback is given,
-since the callback must see every leaf.
+key, when decode is not the Sender's own, when the adapter runs, and when
+an on_transcript callback is given, since the callback must see every
+leaf.
 """
 
 from __future__ import annotations

@@ -156,8 +156,8 @@ def test_replay_is_causal():
     ],
 )
 def test_sessions_fold_the_declared_state(strategy, channel):
-    # a replaced encode_step voids the declared Sender, so this copy is
-    # driven through encode_step at every step
+    # a replaced encode_step is a plain function, not a Sender, so this
+    # copy is driven through encode_step at every step
     plain = replace(strategy, encode_step=lambda m, y: strategy.encode_step(m, y))
     for m in range(0, strategy.message_count, 5):
         for adv in (PassiveAdversary(), GreedyAdversary()):
@@ -170,6 +170,21 @@ def test_replay_length_guard():
     s = identity_strategy(2, 2)
     with pytest.raises(ValueError):
         replay(s, 0, (0, 1, 0))
+
+
+@pytest.mark.parametrize(
+    "strategy, message",
+    [
+        (zero_error_unidirectional_strategy(3, 4), 100),
+        (zero_error_unidirectional_strategy(3, 4), -1),
+        (identity_strategy(2, 3), 8),
+        (modified_rubber_strategy(3, 2, "z", 6, 1), -1),
+    ],
+)
+def test_replay_rejects_a_message_outside_the_set(strategy, message):
+    # unchecked, the digit schemes would replay another message's word
+    with pytest.raises(ValueError, match=f"message {message} out of range"):
+        replay(strategy, message, (0,) * strategy.block_length)
 
 
 def test_transcript_json_shape():

@@ -23,6 +23,7 @@ from qfeedback.session import (
     GreedyAdversary,
     PassiveAdversary,
     PathAdversary,
+    Sender,
     admissible_outputs,
     advance_direction,
     run_session,
@@ -317,7 +318,7 @@ def test_unidirectional_clean_prefix_parses_to_itself(q, r, t, k):
     # received prefix
     n = r * t + 1 + k
     strategy = unidirectional_rubber_strategy(q, r, n, t)
-    sender = strategy.sender
+    sender = strategy.encode_step
     down = dict(rubber=q - 1, correction=+1, run_length=r)
     up = dict(rubber=0, correction=-1, run_length=r)
     for m in range(strategy.message_count):
@@ -356,10 +357,10 @@ def test_every_builder_holds_its_declaration(builder, q, n, t):
     # a builder that lost its Sender would still verify the same, through
     # the adapter, but without the fold or the transposition table
     strategy = BUILDERS[builder](q, n, t)
-    assert sender_of(strategy) is strategy.sender
-    assert strategy.sender.encode_step is strategy.encode_step
-    assert strategy.sender.decode is strategy.decode
-    assert (strategy.sender.key is not None) == ("rubber" in builder)
+    assert isinstance(strategy.encode_step, Sender)
+    assert sender_of(strategy) is strategy.encode_step
+    assert strategy.encode_step.decode is strategy.decode
+    assert (strategy.encode_step.key is not None) == ("rubber" in builder)
 
 
 @pytest.mark.parametrize("builder", BUILDERS)
@@ -405,7 +406,7 @@ def test_declared_fold_matches_encode_step(case, channel_id):
     build, t = FOLD_CASES[case]
     strategy = build()
     channel = FOLD_CHANNELS[channel_id](3)
-    sender = strategy.sender
+    sender = strategy.encode_step
     checked = 0
     for m in range(strategy.message_count):
         stack = [((), t, DirectionState.UNDECIDED)]

@@ -237,7 +237,7 @@ def full_walk(strategy, channel, t, node_budget):
 
 
 def encode_step_walk(strategy, channel, t, node_budget):
-    # a replaced encode_step voids the declared Sender: encode_step at every node, no memo
+    # a replaced encode_step is a plain function: encode_step at every node, no memo
     plain = replace(strategy, encode_step=lambda m, y: strategy.encode_step(m, y))
     return verify_successful(plain, channel, t, node_budget=node_budget)
 
@@ -295,8 +295,7 @@ def test_memo_matches_full_walk_past_skipped_subtrees(strategy, channel_id, t):
 
 def codeword_only(strategy):
     """The strategy with an unsound key: the codeword without the receiver stack."""
-    declared = strategy.sender
-    return replace(strategy, sender=declared._replace(key=lambda state, direction: state.codeword))
+    return replace(strategy, encode_step=strategy.encode_step._replace(key=lambda state, direction: state.codeword))
 
 
 def test_differential_check_catches_an_unsound_key():
@@ -305,7 +304,7 @@ def test_differential_check_catches_an_unsound_key():
 
 
 @pytest.mark.parametrize("field", ["encode_step", "decode"])
-def test_replaced_callables_get_the_full_walk(field):
+def test_replaced_callables_get_the_full_walk(field, monkeypatch):
     # the unsound key would change the verdict if it still applied
     mutant = codeword_only(RUBBER_SCHEMES["rubber_z"]())
     rewrapped = replace(mutant, **{field: lambda *args: getattr(mutant, field)(*args)})
@@ -313,6 +312,13 @@ def test_replaced_callables_get_the_full_walk(field):
     for node_budget in (37, DEFAULT_NODE_BUDGET):
         expected = full_walk(mutant, channel, 2, node_budget)
         assert verify_successful(rewrapped, channel, 2, node_budget=node_budget) == expected
+    # a replaced decode keeps the declared fold, which unranks once per
+    # message; a replaced encode_step is asked at each of the 2,836 inner nodes
+    calls = []
+    unrank = strategies.unrank
+    monkeypatch.setattr(strategies, "unrank", lambda *args: calls.append(args) or unrank(*args))
+    assert verify_successful(rewrapped, channel, 2) == expected
+    assert len(calls) == {"decode": mutant.message_count, "encode_step": 2_836}[field]
 
 
 def test_memo_skips_proven_subtrees(monkeypatch):
