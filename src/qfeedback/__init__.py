@@ -14,7 +14,6 @@ from .bounds import (
     min_max_output_mass,
     modified_rubber_bound,
     run_growth_rate,
-    single_rubber_rate,
     sphere_packing_message_bound,
     zero_error_capacity,
 )
@@ -98,7 +97,6 @@ __all__ = [
     "rubber_stack_parse",
     "run_growth_rate",
     "run_session",
-    "single_rubber_rate",
     "sphere_packing_message_bound",
     "unidirectional_rubber_strategy",
     "unrank",

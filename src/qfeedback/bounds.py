@@ -124,8 +124,6 @@ def min_max_output_mass(g: ChannelGraph) -> Fraction:
 def zero_error_capacity(g: ChannelGraph) -> float:
     """log_base(1/value) of the covering program, base = alphabet size."""
     value = min_max_output_mass(g)
-    if value >= 1:
-        return 0.0
     base = len(g.symbols)
     return (math.log(value.denominator) - math.log(value.numerator)) / math.log(base)
 
@@ -185,8 +183,6 @@ def modified_rubber_bound(q: int, tau: float) -> float:
     _check_tau(tau)
     if tau == 0.0:
         return 1.0
-    if tau > 0.5:
-        return 0.0
     best = 0.0
     for r in range(2, math.ceil(1.0 / tau) + 1):
         if (1.0 - r * tau) * (1.0 + 1e-9) < best:
@@ -223,8 +219,9 @@ def capacity_upper_bound(q: int, tau: float) -> float:
 
 
 def sphere_packing_message_bound(n: int, t: int, q: int) -> Fraction:
-    """Exact ceiling on the number of messages any feedback strategy of
-    block length n can protect against t errors on the Z channel."""
+    """Upper bound, as an exact Fraction, on the number of messages any
+    feedback strategy of block length n can protect against t errors on
+    the Z channel."""
     _check_alphabet(q)
     if not 0 <= t <= n:
         raise ValueError(f"need 0 <= t <= n, got t={t}, n={n}")
@@ -247,29 +244,18 @@ def binary_symmetric_capacity(tau: float) -> float:
     return 0.0
 
 
-def single_rubber_rate(q: int, tau: float) -> float:
-    """Rate of the plain one-symbol rubber scheme: (1-tau)*log_q(q-1).
-
-    Each error costs one extra position and the info alphabet loses one
-    symbol.
-    """
-    _check_alphabet(q)
-    _check_tau(tau)
-    if q == 2:
-        return 0.0
-    return (1.0 - tau) * math.log(q - 1) / math.log(q)
-
-
 def lower_envelope(q: int, tau: float) -> float:
     """Best known achievable rate on the unidirectional channel: the max of
-    the rubber curves, the two-candidate bound (q >= 3), and the zero-error
-    strategy's constant rate."""
+    the modified rubber curve, the zero-error rate and (q >= 3) the
+    two-candidate bound.  The one-symbol rubber rate (1-tau)*log_q(q-1)
+    never tops them: for q >= 3 it is the tangent of the concave
+    degree_two_bound at tau = 1/q, which stays flat past 1/2 where the line
+    keeps falling, and for q = 2 it is 0."""
     _check_alphabet(q)
     _check_tau(tau)
     terms = [
         modified_rubber_bound(q, tau),
         math.log((q + 1) // 2) / math.log(q),
-        single_rubber_rate(q, tau),
     ]
     if q >= 3:
         terms.append(degree_two_bound(q, tau))

@@ -120,27 +120,27 @@ class DirectionState(enum.Enum):
 class UnidirectionalChannel:
     """Adversary that may only ever push symbols one way within a block.
 
-    The direction is not fixed in advance: it becomes committed at the first
-    nonzero error.  positive errors follow the inverse Z channel (i -> i + 1),
-    negative errors the Z channel (i -> i - 1).
+    One rule, no stored graphs: each error moves a symbol one step, up
+    (POSITIVE) or down (NEGATIVE), always the way the block's first error
+    went, so the direction is committed at that error, not in advance.
     """
 
     q: int
-    positive_channel: ChannelGraph
-    negative_channel: ChannelGraph
+
+    def __post_init__(self) -> None:
+        if self.q < 2:
+            raise ValueError(f"alphabet size must be at least 2, got {self.q}")
 
     @property
     def symbols(self) -> tuple[int, ...]:
         return tuple(range(self.q))
 
     def outputs_for(self, sent: int, direction: DirectionState) -> tuple[int, ...]:
-        if direction is DirectionState.POSITIVE:
-            return self.positive_channel.outputs(sent)
-        if direction is DirectionState.NEGATIVE:
-            return self.negative_channel.outputs(sent)
-        merged = set(self.positive_channel.outputs(sent))
-        merged |= set(self.negative_channel.outputs(sent))
-        return tuple(sorted(merged))
+        if not 0 <= sent < self.q:
+            raise ValueError(f"{sent} is not a channel symbol")
+        down = () if direction is DirectionState.POSITIVE or sent == 0 else (sent - 1,)
+        up = () if direction is DirectionState.NEGATIVE or sent == self.q - 1 else (sent + 1,)
+        return down + (sent,) + up
 
     def direction_after(self, direction: DirectionState, sent: int, received: int) -> DirectionState:
         """Direction state once (sent, received) has happened.
@@ -163,8 +163,4 @@ class UnidirectionalChannel:
 
 
 def make_unidirectional_pair(q: int) -> UnidirectionalChannel:
-    return UnidirectionalChannel(
-        q=q,
-        positive_channel=make_inverse_z_channel(q),
-        negative_channel=make_z_channel(q),
-    )
+    return UnidirectionalChannel(q)

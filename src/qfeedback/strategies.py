@@ -90,10 +90,10 @@ def _automaton_next(w: tuple[int, ...], stack: tuple[int, ...], rubber: int, fil
     return rubber
 
 
-def _decode_word(constraint, word: Sequence[int], message_count: int) -> int:
+def _decode_word(constraint, word: Sequence[int]) -> int:
     """Total decode: invalid words (unreachable under the channel) map to 0."""
     word = tuple(word)
-    if message_count <= 1 or not is_valid(constraint, word):
+    if not is_valid(constraint, word):
         return 0
     return rank(constraint, word)
 
@@ -163,7 +163,7 @@ def modified_rubber_strategy(q: int, r: int, side: str, n: int, t: int) -> Strat
 
     def decode(received: tuple[int, ...]) -> int:
         stack = rubber_stack_parse(received, **convention)
-        return _decode_word(constraint, stack[:k], message_count)
+        return _decode_word(constraint, stack[:k])
 
     def sender_key(state: RubberState, direction: DirectionState) -> RubberState:
         return state
@@ -271,15 +271,15 @@ def unidirectional_rubber_strategy(q: int, r: int, n: int, t: int) -> Strategy:
     to itself, and pushing the first error onto it gives the committed
     parse of the whole received prefix.
 
-    Memo key: the sender state, at two kinds of node only.  With no error
-    yet, the received prefix is the clean prefix, and the state is fixed by
-    (codeword, position).  With the channel's direction committed, the flag
-    is immune, so decode applies the committed phase's parse, whose stack
-    the state holds.  Either way the state fixes every input below the node
-    and every leaf's decode.  At any other node (an error on a channel
-    that commits no direction, such as a graph) the adversary may corrupt
-    the flag into a parse the state does not hold, and the key is None.
-    On the unidirectional channel every node is of the two kinds.
+    Memo key: the sender state wherever the sender's phase is the
+    channel's direction, else None.  Both UNDECIDED: no error yet, and the
+    state, fixed by (codeword, position), is the clean prefix's.  Both
+    committed: the flag is immune, so decode applies the committed parse,
+    whose stack the state holds.  Either way the state fixes every input
+    and decode below the node.  They differ only after an error on a
+    channel that commits no direction (a graph), where the flag may be
+    corrupted into a parse the state does not hold.  On the unidirectional
+    channel both commit at the same error, the same way: every node keys.
     """
     if q < 3:
         raise ValueError(f"alphabet size must be at least 3, got {q}")
@@ -334,12 +334,10 @@ def unidirectional_rubber_strategy(q: int, r: int, n: int, t: int) -> Strategy:
             # flag 0 is the clean and committed-down announcement; other
             # values are unreachable and fall back to the same parse
             stack = rubber_stack_parse(body, **down)
-        return _decode_word(constraint, stack[:k], message_count)
+        return _decode_word(constraint, stack[:k])
 
     def sender_key(state: UniState, direction: DirectionState) -> Optional[UniState]:
-        if state.phase is DirectionState.UNDECIDED or direction is not DirectionState.UNDECIDED:
-            return state
-        return None
+        return state if state.phase is direction else None
 
     name = f"unidirectional_rubber(q={q},r={r},n={n},t={t})"
     return Strategy(name, message_count, n, Sender(start, feed, emit, decode, sender_key), decode)

@@ -318,6 +318,18 @@ def test_degree_two_bound_values():
         degree_two_bound(2, 0.3)
 
 
+def test_one_symbol_rubber_rate_is_a_tangent_of_degree_two():
+    # The plain one-symbol rubber rate (1-tau)*log_q(q-1) touches the concave
+    # degree_two_bound at tau = 1/q and lies below it elsewhere, which is why
+    # lower_envelope has no term for it.
+    for q in range(3, 41):
+        for tau in sorted({i / 500 for i in range(501)} | {1 / q}):
+            line = (1 - tau) * math.log(q - 1) / math.log(q)
+            assert line <= degree_two_bound(q, tau) + 1e-15
+        touch = (1 - 1 / q) * math.log(q - 1) / math.log(q)
+        assert abs(touch - degree_two_bound(q, 1 / q)) < 1e-12
+
+
 def test_capacity_upper_bound_values():
     assert capacity_upper_bound(3, 0.0) == 1.0
     assert abs(capacity_upper_bound(2, 1 / 3) - 2 / 3) < 1e-12

@@ -1,9 +1,12 @@
+import dataclasses
+
 import pytest
 
 from qfeedback.channels import (
     STAR,
     ChannelGraph,
     DirectionState,
+    UnidirectionalChannel,
     make_inverse_z_channel,
     make_star_channel,
     make_symmetric_channel,
@@ -63,6 +66,14 @@ def test_outputs_rejects_foreign_symbol():
     g = make_z_channel(3)
     with pytest.raises(ValueError):
         g.outputs(7)
+    for q in (2, 3, 5):
+        pair = make_unidirectional_pair(q)
+        for direction in DirectionState:
+            for sent in (-1, q):
+                with pytest.raises(ValueError):
+                    pair.outputs_for(sent, direction)
+    with pytest.raises(ValueError):
+        UnidirectionalChannel(1)
 
 
 def test_graph_validation():
@@ -82,6 +93,20 @@ def test_unidirectional_outputs_by_direction():
     assert pair.outputs_for(1, DirectionState.NEGATIVE) == (0, 1)
     assert pair.outputs_for(0, DirectionState.NEGATIVE) == (0,)
     assert pair.outputs_for(2, DirectionState.POSITIVE) == (2,)
+    assert [f.name for f in dataclasses.fields(UnidirectionalChannel)] == ["q"]
+    # the one +-1 rule agrees with the Z / inverse-Z graphs, direction by direction
+    for q in range(2, 7):
+        pair = make_unidirectional_pair(q)
+        assert pair == UnidirectionalChannel(q)
+        z, invz = make_z_channel(q), make_inverse_z_channel(q)
+        for s in range(q):
+            expected = {
+                DirectionState.UNDECIDED: tuple(sorted(set(z.outputs(s)) | set(invz.outputs(s)))),
+                DirectionState.POSITIVE: invz.outputs(s),
+                DirectionState.NEGATIVE: z.outputs(s),
+            }
+            for direction in DirectionState:
+                assert pair.outputs_for(s, direction) == expected[direction]
 
 
 def test_direction_commitment():

@@ -79,6 +79,20 @@ def test_curves_include_degree_two_for_larger_alphabets(tmp_path):
         assert abs(value - lower_envelope(5, tau)) < 1e-9
 
 
+@pytest.mark.parametrize("q", [2, 3, 4, 8])
+def test_curves_envelope_is_the_max_of_the_achievable_curves(tmp_path, q):
+    # rounding to .12g is monotone, so the printed max is the max printed
+    out = tmp_path / "curves.csv"
+    assert main(["curves", "--q", str(q), "--step", "0.01", "--out", str(out)]) == 0
+    by_tau = {}
+    for tau, value, curve in read_csv(out):
+        by_tau.setdefault(tau, {})[curve] = value
+    achievable = ["modified_rubber", "zero_error"] + (["degree_two"] if q >= 3 else [])
+    assert len(by_tau) == 101
+    for values in by_tau.values():
+        assert values["lower_envelope"] == max(values[c] for c in achievable)
+
+
 def test_curves_rejects_bad_step(tmp_path):
     out = tmp_path / "never.csv"
     assert main(["curves", "--q", "2", "--step", "0.7", "--out", str(out)]) == 1

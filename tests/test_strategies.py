@@ -17,7 +17,6 @@ from qfeedback.channels import (
     make_unidirectional_pair,
     make_z_channel,
 )
-from qfeedback.bounds import single_rubber_rate
 from qfeedback.codebook import RunConstraint, unrank
 from qfeedback.session import (
     GreedyAdversary,
@@ -442,21 +441,3 @@ def test_strategy_names_are_informative():
     assert "unidirectional_rubber" in unidirectional_rubber_strategy(3, 2, 6, 1).name
     assert "zero_error" in zero_error_unidirectional_strategy(3, 4).name
 
-
-# ------------------------------------------------------------- rate fn
-
-
-def test_single_rubber_rate_values():
-    assert abs(single_rubber_rate(5, 0.0) - math.log(4) / math.log(5)) < 1e-12
-    assert abs(single_rubber_rate(5, 0.5) - 0.5 * math.log(4) / math.log(5)) < 1e-12
-    assert single_rubber_rate(5, 1.0) == 0.0
-    assert single_rubber_rate(2, 0.3) == 0.0
-
-
-def test_single_rubber_rate_domain():
-    with pytest.raises(ValueError):
-        single_rubber_rate(4, -0.1)
-    with pytest.raises(ValueError):
-        single_rubber_rate(4, 1.5)
-    with pytest.raises(ValueError):
-        single_rubber_rate(1, 0.5)
