@@ -200,9 +200,7 @@ def degree_two_bound(q: int, tau: float) -> float:
     if q < 3:
         raise ValueError(f"need an alphabet of at least 3 symbols, got {q}")
     _check_tau(tau)
-    if tau > 0.5:
-        return 1.0 - 1.0 / math.log2(q)
-    return 1.0 - binary_entropy(tau) / math.log2(q)
+    return 1.0 - binary_entropy(min(tau, 0.5)) / math.log2(q)
 
 
 def capacity_upper_bound(q: int, tau: float) -> float:

@@ -17,7 +17,7 @@ first error.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable
 
 # Sentinel symbol for the hub node of the star channel.  It is a valid
@@ -31,32 +31,37 @@ class ChannelGraph:
 
     q is the size of the base alphabet {0, .., q-1}; symbols may extend it
     (the star channel adds the STAR hub).  edges holds ordered pairs
-    (sent, received).
+    (sent, received).  Each symbol's sorted outputs are built once, in the
+    same pass that validates the graph, so outputs is a lookup.
     """
 
     name: str
     q: int
     symbols: tuple[int, ...]
     edges: frozenset[tuple[int, int]]
+    _outputs: dict[int, tuple[int, ...]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.q < 2:
             raise ValueError(f"alphabet size must be at least 2, got {self.q}")
-        sym = set(self.symbols)
-        if len(sym) != len(self.symbols):
+        outputs: dict[int, list[int]] = {s: [] for s in self.symbols}
+        if len(outputs) != len(self.symbols):
             raise ValueError("duplicate symbols")
         for i, j in self.edges:
-            if i not in sym or j not in sym:
+            if i not in outputs or j not in outputs:
                 raise ValueError(f"edge ({i}, {j}) leaves the symbol set")
-        for s in self.symbols:
-            if (s, s) not in self.edges:
+            outputs[i].append(j)
+        for s, out in outputs.items():
+            if s not in out:
                 raise ValueError(f"symbol {s} is missing its self-loop")
+        object.__setattr__(self, "_outputs", {s: tuple(sorted(out)) for s, out in outputs.items()})
 
     def outputs(self, sent: int) -> tuple[int, ...]:
         """All symbols the adversary can deliver for a given sent symbol."""
-        if sent not in self.symbols:
+        out = self._outputs.get(sent)
+        if out is None:
             raise ValueError(f"{sent} is not a channel symbol")
-        return tuple(sorted(j for i, j in self.edges if i == sent))
+        return out
 
     def outputs_for(self, sent: int, direction: DirectionState) -> tuple[int, ...]:
         """Outputs for sent; a graph's error direction is fixed in advance."""

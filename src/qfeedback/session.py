@@ -9,6 +9,7 @@ between sessions, so any prefix can be replayed exactly.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Any, Callable, Hashable, NamedTuple, Optional, Protocol, Sequence, Union
 
@@ -101,11 +102,18 @@ def sender_of(strategy: Strategy) -> Sender:
 
 @dataclass(frozen=True)
 class Transcript:
+    """One played block: the words sent and received, the channel's
+    direction at the end, and the decoded message.  Its errors are read
+    off the two words, so they cannot contradict them."""
+
     sent: tuple[int, ...]
     received: tuple[int, ...]
-    error_positions: tuple[int, ...]
     direction: DirectionState
     decoded: int
+
+    @property
+    def error_positions(self) -> tuple[int, ...]:
+        return tuple(i for i, (x, y) in enumerate(zip(self.sent, self.received)) if x != y)
 
     def to_json_dict(self) -> dict:
         return {
@@ -169,8 +177,17 @@ def advance_direction(channel: Channel, direction: DirectionState, sent: int, re
     return channel.direction_after(direction, sent, received)
 
 
+def check_integer(value: int, what: str) -> None:
+    """Reject a value that is not an integer (bool and numpy integers pass)."""
+    try:
+        operator.index(value)
+    except TypeError:
+        raise ValueError(f"{what} must be an integer, got {value!r}") from None
+
+
 def check_budget(strategy: Strategy, t: int) -> None:
     """Reject an error budget that no block of this strategy can have."""
+    check_integer(t, "error budget")
     if t < 0:
         raise ValueError(f"error budget must be nonnegative, got {t}")
     if t > strategy.block_length:
@@ -179,6 +196,7 @@ def check_budget(strategy: Strategy, t: int) -> None:
 
 def check_message(strategy: Strategy, message: int) -> None:
     """Reject a message index outside the strategy's message set."""
+    check_integer(message, "message")
     if not 0 <= message < strategy.message_count:
         raise ValueError(f"message {message} out of range for M={strategy.message_count}")
 
@@ -195,7 +213,6 @@ def run_session(strategy: Strategy, channel: Channel, adversary: Adversary, mess
     n = strategy.block_length
     sent: list[int] = []
     received: list[int] = []
-    errors: list[int] = []
     direction = DirectionState.UNDECIDED
     budget = t
     sender = sender_of(strategy)
@@ -211,13 +228,11 @@ def run_session(strategy: Strategy, channel: Channel, adversary: Adversary, mess
         if y not in options:
             raise ValueError(f"adversary chose {y} for input {x}, admissible: {options}")
         direction = advance_direction(channel, direction, x, y)
-        if y != x:
-            errors.append(i)
-            budget -= 1
+        budget -= y != x
         sent.append(x)
         received.append(y)
     decoded = strategy.decode(tuple(received))
-    return Transcript(tuple(sent), tuple(received), tuple(errors), direction, decoded)
+    return Transcript(tuple(sent), tuple(received), direction, decoded)
 
 
 def replay(strategy: Strategy, message: int, received: Sequence[int]) -> tuple[int, ...]:

@@ -15,6 +15,12 @@ Three schemes, plus a non-adaptive baseline:
   apply.  Its codebook reserves both ends of the alphabet where the
   one-sided scheme reserves one.
 
+Both rubber schemes rest on one receiver rule, written once (_settle):
+when r rubber symbols complete a run, delete the run and bump the symbol
+it uncovers.  The receiver's parse (rubber_stack_parse) and both senders'
+stacks are settled by that rule alone, so a sender's stack is the
+receiver's parse of what has been delivered so far.
+
 All encoders are pure: the next symbol is a function of (message, received
 prefix) alone, which is what makes exhaustive game-tree search possible.
 Every scheme's encode_step is its declared sender (session.Sender): an
@@ -40,36 +46,29 @@ from .codebook import RunConstraint, count, is_valid, rank, unrank
 from .session import Sender, Strategy
 
 
-def _push(stack: tuple[int, ...], y: int, *, rubber: int, correction: int, run_length: int) -> tuple[int, ...]:
-    """The receiver's stack after one more delivered symbol.
-
-    Push y; whenever the top run_length entries all equal rubber, pop them
-    and add correction to the symbol now on top, then re-check.  The
-    re-check matters: a repaired repair cascades.
-    """
-    stack += (y,)
-    run = (rubber,) * run_length
-    while stack[-run_length:] == run:
-        stack = stack[:-run_length]
+def _settle(stack: list[int], rubber: int, correction: int, run_length: int) -> list[int]:
+    """The rubber rule, once for both ends: while the top run_length
+    entries all equal rubber, pop them and add correction to the symbol now
+    on top, then re-check, so a repaired repair cascades."""
+    while stack and stack[-1] == rubber and stack[-run_length:].count(rubber) == run_length:
+        del stack[-run_length:]
         if stack:
-            stack = stack[:-1] + (stack[-1] + correction,)
+            stack[-1] += correction
     return stack
 
 
 def rubber_stack_parse(symbols: Sequence[int], *, rubber: int, correction: int, run_length: int) -> list[int]:
     """Receiver-side parse shared by all rubber decoders.
 
-    The _push rule, symbol by symbol, on one list instead of a new tuple
-    per symbol, so a parse is linear in the word's length.
+    Push each symbol onto one list and settle it by the rubber rule, so a
+    parse is linear in the word's length.  Only a rubber symbol can
+    complete a run, so no other push needs settling.
     """
     stack: list[int] = []
-    run = [rubber] * run_length
     for y in symbols:
         stack.append(y)
-        while stack and stack[-1] == rubber and stack[-run_length:] == run:
-            del stack[-run_length:]
-            if stack:
-                stack[-1] += correction
+        if y == rubber:
+            _settle(stack, rubber, correction, run_length)
     return stack
 
 
@@ -133,10 +132,6 @@ def modified_rubber_strategy(q: int, r: int, side: str, n: int, t: int) -> Strat
     equal states at equal depth, budget and direction root identical
     subtrees.
     """
-    if q < 2:
-        raise ValueError(f"alphabet size must be at least 2, got {q}")
-    if r < 1:
-        raise ValueError(f"run length must be at least 1, got {r}")
     if t < 0:
         raise ValueError("error budget must be nonnegative")
     k = n - r * t
@@ -150,19 +145,18 @@ def modified_rubber_strategy(q: int, r: int, side: str, n: int, t: int) -> Strat
         raise ValueError(f"side must be 'z' or 'invz', got {side!r}")
     constraint = RunConstraint(q, (rubber,), r)
     message_count = count(constraint, k)
-    convention = dict(rubber=rubber, correction=correction, run_length=r)
 
     def start(m: int) -> RubberState:
         return RubberState(unrank(constraint, k, m), ())
 
     def feed(state: RubberState, y: int) -> RubberState:
-        return RubberState(state.codeword, _push(state.stack, y, **convention))
+        return RubberState(state.codeword, tuple(_settle([*state.stack, y], rubber, correction, r)))
 
     def emit(state: RubberState) -> int:
         return _automaton_next(state.codeword, state.stack, rubber, fill)
 
     def decode(received: tuple[int, ...]) -> int:
-        stack = rubber_stack_parse(received, **convention)
+        stack = rubber_stack_parse(received, rubber=rubber, correction=correction, run_length=r)
         return _decode_word(constraint, stack[:k])
 
     def sender_key(state: RubberState, direction: DirectionState) -> RubberState:
@@ -195,15 +189,10 @@ def zero_error_unidirectional_strategy(q: int, n: int) -> Strategy:
     message_count = base ** (n - 1)
 
     def decode(received: tuple[int, ...]) -> int:
-        flag = received[-1]
-        body = received[: n - 1]
-        if flag == 0:
-            evens = [y + 1 if y % 2 else y for y in body]
-        elif flag == q - 1 and q > 2:
-            evens = [y - 1 if y % 2 else y for y in body]
-        else:
-            # flag 1: a clean block whose trailing 0 took the only error
-            evens = [y if y % 2 == 0 else y - 1 for y in body]
+        # flag 0 rounds odd symbols up, any other flag rounds them down;
+        # flag 1: a clean block whose trailing 0 took the only error
+        step = 1 if received[-1] == 0 else -1
+        evens = [y + step if y % 2 else y for y in received[: n - 1]]
         m = 0
         for e in evens:
             m = m * base + min(e // 2, base - 1)
@@ -292,8 +281,7 @@ def unidirectional_rubber_strategy(q: int, r: int, n: int, t: int) -> Strategy:
         raise ValueError(f"block length {n} cannot host {t} repairs of cost {r} plus a flag")
     constraint = RunConstraint(q, (0, q - 1), r)
     message_count = count(constraint, k)
-    down = dict(rubber=q - 1, correction=+1, run_length=r)
-    up = dict(rubber=0, correction=-1, run_length=r)
+    down, up = (q - 1, +1), (0, -1)
     conventions = {DirectionState.UNDECIDED: down, DirectionState.NEGATIVE: down, DirectionState.POSITIVE: up}
 
     def clean_symbol(w: tuple[int, ...], i: int) -> int:
@@ -321,19 +309,19 @@ def unidirectional_rubber_strategy(q: int, r: int, n: int, t: int) -> Strategy:
             x = emit(state)
             if y != x:
                 phase = DirectionState.POSITIVE if y > x else DirectionState.NEGATIVE
-        return UniState(w, i + 1, phase, _push(stack, y, **conventions[phase]))
+        return UniState(w, i + 1, phase, tuple(_settle([*stack, y], *conventions[phase], r)))
 
     def decode(received: tuple[int, ...]) -> int:
         flag = received[-1]
         body = received[: n - 1]
         if flag == q - 1:
-            stack = rubber_stack_parse(body, **up)
+            stack = rubber_stack_parse(body, rubber=0, correction=-1, run_length=r)
         elif flag == 1:
             stack = list(body)
         else:
             # flag 0 is the clean and committed-down announcement; other
             # values are unreachable and fall back to the same parse
-            stack = rubber_stack_parse(body, **down)
+            stack = rubber_stack_parse(body, rubber=q - 1, correction=+1, run_length=r)
         return _decode_word(constraint, stack[:k])
 
     def sender_key(state: UniState, direction: DirectionState) -> Optional[UniState]:

@@ -42,13 +42,23 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 from .channels import DirectionState
-from .session import Channel, Strategy, Transcript, admissible_outputs, advance_direction, check_budget, sender_of
+from .session import (
+    Channel,
+    Strategy,
+    Transcript,
+    admissible_outputs,
+    advance_direction,
+    check_budget,
+    check_integer,
+    sender_of,
+)
 
 DEFAULT_NODE_BUDGET = 10_000_000
 
 
 def check_node_budget(node_budget: int) -> None:
     """Reject a node cap that would stop the search before its first node."""
+    check_integer(node_budget, "node budget")
     if node_budget < 1:
         raise ValueError(f"node budget must be at least 1, got {node_budget}")
 
@@ -142,8 +152,7 @@ def verify_successful(
                 word = tuple(received)
                 decoded = decode(word)
                 if on_transcript is not None:
-                    errors = tuple(i for i, (a, b) in enumerate(zip(sent, word)) if a != b)
-                    on_transcript(Transcript(tuple(sent), word, errors, direction, decoded))
+                    on_transcript(Transcript(tuple(sent), word, direction, decoded))
                 if decoded != m:
                     return Verdict("counterexample", m, tuple(sent), word, decoded, nodes)
                 continue

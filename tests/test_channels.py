@@ -1,4 +1,5 @@
 import dataclasses
+import random
 
 import pytest
 
@@ -79,11 +80,29 @@ def test_outputs_rejects_foreign_symbol():
 def test_graph_validation():
     with pytest.raises(ValueError):
         ChannelGraph("bad", 1, (0,), frozenset({(0, 0)}))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="duplicate symbols"):
+        ChannelGraph("bad", 2, (0, 1, 0), frozenset({(0, 0), (1, 1)}))
+    with pytest.raises(ValueError, match=r"edge \(0, 5\) leaves the symbol set"):
         ChannelGraph("bad", 2, (0, 1), frozenset({(0, 0), (1, 1), (0, 5)}))
-    with pytest.raises(ValueError):
-        # missing self-loop on 1
+    with pytest.raises(ValueError, match="symbol 1 is missing its self-loop"):
         ChannelGraph("bad", 2, (0, 1), frozenset({(0, 0), (1, 0)}))
+
+
+def test_outputs_are_the_sorted_edges_of_each_symbol():
+    # the table built once in __post_init__ answers what a scan of the
+    # edges would, on the four graph makers and on random graphs
+    rng = random.Random(20261018)
+    makers = (make_z_channel, make_inverse_z_channel, make_symmetric_channel, make_star_channel)
+    graphs = [make(q) for make in makers for q in range(2, 9)]
+    for _ in range(40):
+        q = rng.randint(2, 6)
+        symbols = list(range(q)) + [STAR] * rng.randint(0, 1)
+        rng.shuffle(symbols)
+        extra = {(rng.choice(symbols), rng.choice(symbols)) for _ in range(rng.randint(0, q * q))}
+        graphs.append(ChannelGraph("random", q, tuple(symbols), frozenset({(s, s) for s in symbols} | extra)))
+    for g in graphs:
+        for s in g.symbols:
+            assert g.outputs(s) == tuple(sorted(j for i, j in g.edges if i == s)), (g, s)
 
 
 def test_unidirectional_outputs_by_direction():

@@ -187,8 +187,32 @@ def test_replay_rejects_a_message_outside_the_set(strategy, message):
         replay(strategy, message, (0,) * strategy.block_length)
 
 
+@pytest.mark.parametrize("message, t", [(5.5, 1), ("1", 1), (5, 0.5), (5, "1")])
+def test_run_session_rejects_a_message_or_budget_that_is_not_an_integer(message, t):
+    # unchecked, 5.5 played message 5 and reported decoded=5
+    s = modified_rubber_strategy(3, 2, "z", 6, 1)
+    with pytest.raises(ValueError, match="must be an integer"):
+        run_session(s, make_z_channel(3), GreedyAdversary(), message, t)
+
+
+@pytest.mark.parametrize("message", [2.0, 0.5, "1"])
+def test_replay_rejects_a_message_that_is_not_an_integer(message):
+    s = modified_rubber_strategy(3, 2, "z", 6, 1)
+    with pytest.raises(ValueError, match="message must be an integer"):
+        replay(s, message, (0,) * s.block_length)
+
+
+def test_sessions_take_bool_and_numpy_integers():
+    numpy = pytest.importorskip("numpy")
+    s, ch = modified_rubber_strategy(3, 2, "z", 6, 1), make_z_channel(3)
+    expected = run_session(s, ch, GreedyAdversary(), 1, 1)
+    assert run_session(s, ch, GreedyAdversary(), True, True) == expected
+    assert run_session(s, ch, GreedyAdversary(), numpy.int64(1), numpy.int8(1)) == expected
+    assert replay(s, numpy.int64(1), expected.received) == replay(s, True, expected.received) == expected.sent
+
+
 def test_transcript_json_shape():
-    tr = Transcript((1, 0), (0, 0), (0,), DirectionState.NEGATIVE, 0)
+    tr = Transcript((1, 0), (0, 0), DirectionState.NEGATIVE, 0)
     assert tr.to_json_dict() == {
         "x": [1, 0],
         "y": [0, 0],
@@ -196,3 +220,11 @@ def test_transcript_json_shape():
         "direction": "negative",
         "decoded": 0,
     }
+
+
+def test_transcript_errors_are_read_off_its_words():
+    # no error list to pass, so none can contradict the words
+    tr = Transcript((1, 0, 2, 2), (0, 0, 2, 1), DirectionState.NEGATIVE, 0)
+    assert tr.error_positions == (0, 3)
+    assert tr.to_json_dict()["errors"] == [0, 3]
+    assert Transcript((1, 0), (1, 0), DirectionState.UNDECIDED, 0).error_positions == ()

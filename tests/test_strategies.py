@@ -13,6 +13,7 @@ import pytest
 from qfeedback.channels import (
     DirectionState,
     make_inverse_z_channel,
+    make_star_channel,
     make_symmetric_channel,
     make_unidirectional_pair,
     make_z_channel,
@@ -29,7 +30,6 @@ from qfeedback.session import (
     sender_of,
 )
 from qfeedback.strategies import (
-    _push,
     identity_strategy,
     modified_rubber_strategy,
     rubber_stack_parse,
@@ -75,12 +75,24 @@ def test_parse_run_length_one():
     assert got == [0]
 
 
+def tuple_push(stack, y, *, rubber, correction, run_length):
+    """The rubber rule written independently of the module: one new tuple
+    per push, popping every completed run and bumping the new top."""
+    stack += (y,)
+    run = (rubber,) * run_length
+    while stack[-run_length:] == run:
+        stack = stack[:-run_length]
+        if stack:
+            stack = stack[:-1] + (stack[-1] + correction,)
+    return stack
+
+
 def tuple_fold(word, convention):
-    """The parse as the fold of the tuple _push, and how many pushes cascaded."""
+    """The parse as the fold of tuple_push, and how many pushes cascaded."""
     stack, cascades = (), 0
     for y in word:
-        after = _push(stack, y, **convention)
-        # each pass of _push's loop removes run_length entries
+        after = tuple_push(stack, y, **convention)
+        # each pass of tuple_push's loop removes run_length entries
         cascades += len(stack) + 1 - len(after) >= 2 * convention["run_length"]
         stack = after
     return list(stack), cascades
@@ -422,6 +434,52 @@ def test_declared_fold_matches_encode_step(case, channel_id):
             for y in admissible_outputs(channel, x, budget, direction):
                 stack.append((received + (y,), budget - (y != x), advance_direction(channel, direction, x, y)))
     assert checked > strategy.message_count * strategy.block_length
+
+
+Z_CONVENTION = dict(rubber=2, correction=+1, run_length=2)
+INVZ_CONVENTION = dict(rubber=0, correction=-1, run_length=2)
+STACK_CASES = {
+    "rubber_z": (lambda: modified_rubber_strategy(3, 2, "z", 8, 2), lambda state: Z_CONVENTION),
+    "rubber_invz": (lambda: modified_rubber_strategy(3, 2, "invz", 8, 2), lambda state: INVZ_CONVENTION),
+    # the down parse until the first upward error commits the sender
+    "unirubber": (
+        lambda: unidirectional_rubber_strategy(3, 2, 9, 2),
+        lambda state: INVZ_CONVENTION if state.phase is DirectionState.POSITIVE else Z_CONVENTION,
+    ),
+}
+STACK_CHANNELS = {
+    "z": make_z_channel,
+    "invz": make_inverse_z_channel,
+    "sym": make_symmetric_channel,
+    "star": make_star_channel,
+    "uni": make_unidirectional_pair,
+}
+
+
+@pytest.mark.parametrize("channel_id", STACK_CHANNELS)
+@pytest.mark.parametrize("case", STACK_CASES)
+def test_the_sender_stack_is_the_receiver_parse(case, channel_id):
+    # at every node of the game tree, the stack the sender folded one
+    # delivered symbol at a time is the receiver's parse of the prefix
+    build, convention_of = STACK_CASES[case]
+    strategy = build()
+    sender = strategy.encode_step
+    channel = STACK_CHANNELS[channel_id](3)
+    t, n = 2, strategy.block_length
+    checked = 0
+    for m in range(strategy.message_count):
+        pending = [((), sender.start(m), t, DirectionState.UNDECIDED)]
+        while pending:
+            received, state, budget, direction = pending.pop()
+            assert state.stack == tuple(rubber_stack_parse(received, **convention_of(state))), (m, received)
+            checked += 1
+            if len(received) == n:
+                continue
+            x = sender.emit(state)
+            for y in admissible_outputs(channel, x, budget, direction):
+                after = advance_direction(channel, direction, x, y)
+                pending.append((received + (y,), sender.feed(state, y), budget - (y != x), after))
+    assert checked > strategy.message_count * n
 
 
 # ------------------------------------------------------------ identity

@@ -94,6 +94,27 @@ def test_node_budget_below_one_is_rejected():
             verify_successful(s, make_z_channel(2), 1, node_budget=node_budget)
 
 
+@pytest.mark.parametrize("t", [0.5, 1.0, "1"])
+def test_a_budget_that_is_not_an_integer_is_rejected(t):
+    # half an error is meaningless input, never a certificate
+    with pytest.raises(ValueError, match="error budget must be an integer"):
+        verify_successful(identity_strategy(2, 3), make_z_channel(2), t)
+
+
+@pytest.mark.parametrize("node_budget", [2.5, 100.0, "100"])
+def test_a_node_budget_that_is_not_an_integer_is_rejected(node_budget):
+    with pytest.raises(ValueError, match="node budget must be an integer"):
+        verify_successful(identity_strategy(2, 2), make_z_channel(2), 1, node_budget=node_budget)
+
+
+def test_bool_and_numpy_integers_are_integers():
+    numpy = pytest.importorskip("numpy")
+    s, ch = modified_rubber_strategy(2, 2, "z", 6, 1), make_z_channel(2)
+    expected = verify_successful(s, ch, 1)
+    assert verify_successful(s, ch, True) == expected
+    assert verify_successful(s, ch, numpy.int64(1), node_budget=numpy.int32(10_000)) == expected
+
+
 def test_node_budget_boundary_is_exact():
     s = modified_rubber_strategy(2, 2, "z", 6, 1)
     ch = make_z_channel(2)
