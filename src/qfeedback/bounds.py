@@ -19,6 +19,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb
 
+from ._checks import check_at_least
 from .channels import ChannelGraph
 
 
@@ -132,7 +133,7 @@ def zero_error_capacity(g: ChannelGraph) -> float:
 # Root of the run-avoidance recurrence
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def run_growth_rate(q: int, r: int) -> float:
     """Largest real root of x^(r+1) - q*x^r + q - 1, inside (q-1, q].
 
@@ -141,10 +142,17 @@ def run_growth_rate(q: int, r: int) -> float:
     g(x) = x^r - (q-1)*(x^(r-1) + ... + 1), which satisfies g(q-1) < 0 and
     g(q) = 1, so bisection on [q-1, q] is safe.  r = 1 collapses to q - 1
     exactly.
+
+    The bisection ends when the bracket is 1e-13 wide or one float wide,
+    whichever comes first.  From q - 1 = 512 on, adjacent floats in
+    [q-1, q] are at least 2^-43 > 1e-13 apart, so only the second ends it:
+    the midpoint of a one-float bracket rounds to an endpoint.  Such a
+    midpoint never moves the bracket, since g(lo) <= 0 < g(hi) holds
+    throughout, so a search the width test ends never reaches it, and the
+    root is the same float either way.
     """
-    _check_alphabet(q)
-    if r < 1:
-        raise ValueError(f"run length must be at least 1, got {r}")
+    check_at_least(q, 2, "alphabet size")
+    check_at_least(r, 1, "run length")
     if r == 1:
         return float(q - 1)
 
@@ -157,6 +165,8 @@ def run_growth_rate(q: int, r: int) -> float:
     lo, hi = float(q - 1), float(q)
     while hi - lo > 1e-13:
         mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            break
         if deflated(mid) > 0.0:
             hi = mid
         else:
@@ -173,19 +183,22 @@ def modified_rubber_bound(q: int, tau: float) -> float:
     r >= 2 of (1 - r*tau) * log_q(growth rate).  Zero beyond tau = 1/2; the
     tau = 0 value is the limit 1.
 
-    The search over r stops once 1 - r*tau, with a little slack, falls
-    below the best rate so far.  The stop is exact: the growth rate is at
-    most q, so the rate of run length r is at most 1 - r*tau (also in
-    floats, since rounding is monotone), and 1 - r*tau only falls as r
-    grows, so no longer run can beat the best.  The result is the full
-    search's, bit for bit, after a handful of roots instead of ~1/tau."""
+    The search over r stops once 1 - r*tau, with a rounding-sized slack,
+    falls below the best rate so far.  The stop is exact: in floats the
+    growth rate is at most q and math.log is monotone, so the computed
+    rate of run length r is at most (1 - r*tau)*(1 + u)^2 with u = 2^-53
+    (one rounding for the product, one for the quotient), well inside the
+    slack factor 1 + 1e-14; and 1 - r*tau only falls as r grows, so no
+    longer run can beat the best.  The result is the full search's, bit
+    for bit, after a handful of roots instead of ~1/tau (24 at tau =
+    1e-12)."""
     _check_alphabet(q)
     _check_tau(tau)
     if tau == 0.0:
         return 1.0
     best = 0.0
     for r in range(2, math.ceil(1.0 / tau) + 1):
-        if (1.0 - r * tau) * (1.0 + 1e-9) < best:
+        if (1.0 - r * tau) * (1.0 + 1e-14) < best:
             break
         rate = (1.0 - r * tau) * math.log(run_growth_rate(q, r)) / math.log(q)
         if rate > best:
@@ -220,9 +233,9 @@ def sphere_packing_message_bound(n: int, t: int, q: int) -> Fraction:
     """Upper bound, as an exact Fraction, on the number of messages any
     feedback strategy of block length n can protect against t errors on
     the Z channel."""
-    _check_alphabet(q)
-    if not 0 <= t <= n:
-        raise ValueError(f"need 0 <= t <= n, got t={t}, n={n}")
+    check_at_least(q, 2, "alphabet size")
+    check_at_least(t, 0, "error budget")
+    check_at_least(n, t, "block length")
     numerator = sum(comb(n, i) * q ** (n - i) for i in range(t + 1))
     denominator = sum(comb(n, i) for i in range(t + 1))
     return Fraction(numerator, denominator)

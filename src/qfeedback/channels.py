@@ -20,6 +20,8 @@ import enum
 from dataclasses import dataclass, field
 from typing import Iterable
 
+from ._checks import check_at_least
+
 # Sentinel symbol for the hub node of the star channel.  It is a valid
 # symbol everywhere a plain int is accepted, including JSON output.
 STAR = -1
@@ -42,8 +44,7 @@ class ChannelGraph:
     _outputs: dict[int, tuple[int, ...]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if self.q < 2:
-            raise ValueError(f"alphabet size must be at least 2, got {self.q}")
+        check_at_least(self.q, 2, "alphabet size")
         outputs: dict[int, list[int]] = {s: [] for s in self.symbols}
         if len(outputs) != len(self.symbols):
             raise ValueError("duplicate symbols")
@@ -133,8 +134,7 @@ class UnidirectionalChannel:
     q: int
 
     def __post_init__(self) -> None:
-        if self.q < 2:
-            raise ValueError(f"alphabet size must be at least 2, got {self.q}")
+        check_at_least(self.q, 2, "alphabet size")
 
     @property
     def symbols(self) -> tuple[int, ...]:

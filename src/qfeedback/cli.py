@@ -25,6 +25,7 @@ import os
 import sys
 import time
 
+from ._checks import check_at_least
 from .bounds import (
     binary_symmetric_capacity,
     capacity_upper_bound,
@@ -60,18 +61,12 @@ _GRAPH_CHANNELS = {
 _CHANNELS = {**_GRAPH_CHANNELS, "uni": make_unidirectional_pair}
 
 
-def _run_length(args) -> int:
-    if args.r is None:
-        raise ValueError(f"{args.strategy} requires r")
-    return args.r
-
-
 # name -> (builder from parsed args, default channel id); a default of None
 # means the channel named by --side
 _STRATEGIES = {
-    "modified_rubber": (lambda a: modified_rubber_strategy(a.q, _run_length(a), a.side, a.n, a.t), None),
+    "modified_rubber": (lambda a: modified_rubber_strategy(a.q, a.r, a.side, a.n, a.t), None),
     "zero_error": (lambda a: zero_error_unidirectional_strategy(a.q, a.n), "uni"),
-    "unidirectional_rubber": (lambda a: unidirectional_rubber_strategy(a.q, _run_length(a), a.n, a.t), "uni"),
+    "unidirectional_rubber": (lambda a: unidirectional_rubber_strategy(a.q, a.r, a.n, a.t), "uni"),
     "identity": (lambda a: identity_strategy(a.q, a.n), "z"),
 }
 
@@ -158,8 +153,7 @@ def _curve_functions(q: int) -> dict:
 
 def _curves_job(args):
     """Checked curves job; running it writes every bound curve as CSV, by curve then tau."""
-    if args.q < 2:
-        raise ValueError(f"alphabet size must be at least 2, got {args.q}")
+    check_at_least(args.q, 2, "alphabet size")
     if not 0.0 < args.step <= 0.5:
         raise ValueError(f"grid step must lie in (0, 0.5], got {args.step}")
     taus = []

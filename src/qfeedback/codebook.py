@@ -17,6 +17,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
+from ._checks import check_at_least, check_integer
+
 State = tuple[Optional[int], int]
 _START: State = (None, 0)
 
@@ -30,8 +32,7 @@ class RunConstraint:
     r: int
 
     def __post_init__(self) -> None:
-        if self.q < 2:
-            raise ValueError(f"alphabet size must be at least 2, got {self.q}")
+        check_at_least(self.q, 2, "alphabet size")
         if not isinstance(self.reserved, tuple) or not self.reserved:
             raise ValueError(f"reserved symbols must be a non-empty tuple, got {self.reserved!r}")
         for s in self.reserved:
@@ -39,8 +40,7 @@ class RunConstraint:
                 raise ValueError(f"reserved symbol {s} outside alphabet of size {self.q}")
         if len(set(self.reserved)) != len(self.reserved):
             raise ValueError("the reserved symbols must differ")
-        if self.r < 1:
-            raise ValueError(f"run length must be at least 1, got {self.r}")
+        check_at_least(self.r, 1, "run length")
 
 
 def _step(constraint: RunConstraint, state: State, symbol: int) -> Optional[State]:
@@ -93,8 +93,7 @@ def _suffix_counts(constraint: RunConstraint, length: int) -> list[dict[State, i
 
 def count(constraint, length: int) -> int:
     """Exact number of valid strings of the given length."""
-    if length < 0:
-        raise ValueError("length must be nonnegative")
+    check_at_least(length, 0, "length")
     return _suffix_counts(constraint, length)[length][_START]
 
 
@@ -133,6 +132,7 @@ def rank(constraint, word: Sequence[int]) -> int:
 def unrank(constraint, length: int, idx: int) -> tuple[int, ...]:
     """Valid word of the given length with lexicographic index idx."""
     total = count(constraint, length)
+    check_integer(idx, "index")
     if not 0 <= idx < total:
         raise ValueError(f"index {idx} out of range for {total} words")
     q = constraint.q

@@ -9,10 +9,10 @@ between sessions, so any prefix can be replayed exactly.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from typing import Any, Callable, Hashable, NamedTuple, Optional, Protocol, Sequence, Union
 
+from ._checks import check_at_least, check_integer
 from .channels import ChannelGraph, DirectionState, UnidirectionalChannel
 
 Channel = Union[ChannelGraph, UnidirectionalChannel]
@@ -177,19 +177,9 @@ def advance_direction(channel: Channel, direction: DirectionState, sent: int, re
     return channel.direction_after(direction, sent, received)
 
 
-def check_integer(value: int, what: str) -> None:
-    """Reject a value that is not an integer (bool and numpy integers pass)."""
-    try:
-        operator.index(value)
-    except TypeError:
-        raise ValueError(f"{what} must be an integer, got {value!r}") from None
-
-
 def check_budget(strategy: Strategy, t: int) -> None:
     """Reject an error budget that no block of this strategy can have."""
-    check_integer(t, "error budget")
-    if t < 0:
-        raise ValueError(f"error budget must be nonnegative, got {t}")
+    check_at_least(t, 0, "error budget")
     if t > strategy.block_length:
         raise ValueError("error budget exceeds the block length")
 

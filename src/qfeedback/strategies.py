@@ -41,6 +41,7 @@ from __future__ import annotations
 
 from typing import NamedTuple, Optional, Sequence
 
+from ._checks import check_at_least
 from .channels import DirectionState
 from .codebook import RunConstraint, count, is_valid, rank, unrank
 from .session import Sender, Strategy
@@ -132,11 +133,11 @@ def modified_rubber_strategy(q: int, r: int, side: str, n: int, t: int) -> Strat
     equal states at equal depth, budget and direction root identical
     subtrees.
     """
-    if t < 0:
-        raise ValueError("error budget must be nonnegative")
+    check_at_least(q, 2, "alphabet size")
+    check_at_least(r, 1, "run length")
+    check_at_least(t, 0, "error budget")
+    check_at_least(n, r * t, "block length")
     k = n - r * t
-    if k < 0:
-        raise ValueError(f"block length {n} cannot host {t} repairs of cost {r}")
     if side == "z":
         rubber, correction, fill = q - 1, +1, 0
     elif side == "invz":
@@ -181,10 +182,8 @@ def zero_error_unidirectional_strategy(q: int, n: int) -> Strategy:
     Sender state: (digits, position, upward error seen), the digits
     computed once per message.  No memo key.
     """
-    if q < 2:
-        raise ValueError(f"alphabet size must be at least 2, got {q}")
-    if n < 1:
-        raise ValueError(f"block length must be at least 1, got {n}")
+    check_at_least(q, 2, "alphabet size")
+    check_at_least(n, 1, "block length")
     base = (q + 1) // 2
     message_count = base ** (n - 1)
 
@@ -270,15 +269,11 @@ def unidirectional_rubber_strategy(q: int, r: int, n: int, t: int) -> Strategy:
     corrupted into a parse the state does not hold.  On the unidirectional
     channel both commit at the same error, the same way: every node keys.
     """
-    if q < 3:
-        raise ValueError(f"alphabet size must be at least 3, got {q}")
-    if r < 2:
-        raise ValueError(f"run length must be at least 2, got {r}")
-    if t < 0:
-        raise ValueError("error budget must be nonnegative")
+    check_at_least(q, 3, "alphabet size")
+    check_at_least(r, 2, "run length")
+    check_at_least(t, 0, "error budget")
+    check_at_least(n, r * t + 1, "block length")
     k = n - r * t - 1
-    if k < 0:
-        raise ValueError(f"block length {n} cannot host {t} repairs of cost {r} plus a flag")
     constraint = RunConstraint(q, (0, q - 1), r)
     message_count = count(constraint, k)
     down, up = (q - 1, +1), (0, -1)
@@ -340,8 +335,8 @@ def identity_strategy(q: int, n: int) -> Strategy:
     Sender state: (digits, position), the digits computed once per
     message.  No memo key.
     """
-    if q < 2 or n < 1:
-        raise ValueError("need q >= 2 and n >= 1")
+    check_at_least(q, 2, "alphabet size")
+    check_at_least(n, 1, "block length")
     message_count = q ** n
 
     def decode(received: tuple[int, ...]) -> int:

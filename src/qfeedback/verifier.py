@@ -41,6 +41,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Optional
 
+from ._checks import check_at_least
 from .channels import DirectionState
 from .session import (
     Channel,
@@ -49,7 +50,6 @@ from .session import (
     admissible_outputs,
     advance_direction,
     check_budget,
-    check_integer,
     sender_of,
 )
 
@@ -58,9 +58,7 @@ DEFAULT_NODE_BUDGET = 10_000_000
 
 def check_node_budget(node_budget: int) -> None:
     """Reject a node cap that would stop the search before its first node."""
-    check_integer(node_budget, "node budget")
-    if node_budget < 1:
-        raise ValueError(f"node budget must be at least 1, got {node_budget}")
+    check_at_least(node_budget, 1, "node budget")
 
 
 @dataclass(frozen=True)

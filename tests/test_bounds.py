@@ -2,9 +2,10 @@
 
 The LP oracle enumerates every basic feasible point of the covering
 program by brute force in exact rationals, so it shares no code path with
-the simplex implementation under test.  The rational-arithmetic simplex
-and the unbounded run-length search are kept here as references for the
-integer simplex and the early-stopping search.
+the simplex implementation under test.  The rational-arithmetic simplex,
+the unbounded run-length search and the search stopped at the wider 1e-9
+slack are kept here as references for the integer simplex and the
+early-stopping search.
 """
 
 import itertools
@@ -252,6 +253,14 @@ def test_growth_rate_against_numpy_roots():
             assert abs(run_growth_rate(q, r) - real) < 1e-8
 
 
+@pytest.mark.parametrize("q", [513, 1024, 4096])
+def test_growth_rate_ends_where_floats_are_coarser_than_the_stop_width(q):
+    # from q - 1 = 512 on no bracket in [q-1, q] is ever 1e-13 narrow, and
+    # the bisection once looped forever on a one-float bracket
+    for r in (2, 3):
+        assert q - 1 < run_growth_rate(q, r) <= q
+
+
 def test_growth_rate_validation():
     with pytest.raises(ValueError):
         run_growth_rate(1, 2)
@@ -303,11 +312,35 @@ def test_rubber_bound_early_stop_is_exact():
             assert modified_rubber_bound(q, tau) == unbounded_rubber_bound(q, tau), (q, tau)
 
 
+def wide_slack_rubber_bound(q, tau):
+    """modified_rubber_bound stopped at a slack of 1e-9, which solved about
+    1e-9/tau more roots than the search needs."""
+    if tau == 0.0:
+        return 1.0
+    best = 0.0
+    for r in range(2, math.ceil(1.0 / tau) + 1):
+        if (1.0 - r * tau) * (1.0 + 1e-9) < best:
+            break
+        rate = (1.0 - r * tau) * math.log(run_growth_rate(q, r)) / math.log(q)
+        if rate > best:
+            best = rate
+    return best
+
+
+@pytest.mark.parametrize("q", range(2, 10))
+def test_rubber_bound_rounding_slack_matches_the_wide_slack(q):
+    for k in range(3, 13):
+        tau = float(f"1e-{k}")
+        assert modified_rubber_bound(q, tau) == wide_slack_rubber_bound(q, tau), (q, tau)
+
+
 def test_rubber_bound_solves_few_roots_at_small_tau():
-    # the full search would solve a root for each of the 999 run lengths
-    run_growth_rate.cache_clear()
-    modified_rubber_bound(3, 0.001)
-    assert run_growth_rate.cache_info().currsize <= 20
+    # the full search would solve a root for each of the 999 run lengths at
+    # tau = 0.001; at 1e-12 the 1e-9 slack solved 1,024
+    for tau, most in ((0.001, 20), (1e-12, 40)):
+        run_growth_rate.cache_clear()
+        modified_rubber_bound(3, tau)
+        assert run_growth_rate.cache_info().currsize <= most
 
 
 def test_degree_two_bound_values():

@@ -227,11 +227,20 @@ def test_verify_reports_are_reproducible(tmp_path):
 
 
 def run_fresh(args, hash_seed):
-    """The module entry point in a new process with the given PYTHONHASHSEED."""
+    """The module entry point in a new process with the given PYTHONHASHSEED;
+    a run past the timeout fails the test instead of hanging it."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(qfeedback.__file__)))
     path = os.environ.get("PYTHONPATH")
     env = dict(os.environ, PYTHONHASHSEED=str(hash_seed), PYTHONPATH=src + (os.pathsep + path if path else ""))
-    return subprocess.run([sys.executable, "-m", "qfeedback.cli", *args], capture_output=True, env=env)
+    return subprocess.run([sys.executable, "-m", "qfeedback.cli", *args], capture_output=True, env=env, timeout=60)
+
+
+def test_curves_end_for_alphabets_past_512(tmp_path):
+    # the growth-rate bisection once looped forever from q = 513 on
+    out = tmp_path / "c513.csv"
+    proc = run_fresh(["curves", "--q", "513", "--step", "0.25", "--out", str(out)], 0)
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    assert len(read_csv(out)) == 5 * 5
 
 
 @pytest.mark.parametrize(
@@ -284,12 +293,13 @@ def test_negative_budget_is_a_usage_error(tmp_path, capsys):
     assert "nonnegative" in capsys.readouterr().err
 
 
-def test_missing_r_is_a_usage_error(tmp_path):
+def test_missing_r_is_a_usage_error(tmp_path, capsys):
     out = tmp_path / "x.json"
     code = main(
         ["verify", "--strategy", "modified_rubber", "--q", "2", "--n", "6", "--t", "1", "--out", str(out)]
     )
     assert code == 1
+    assert "run length must be an integer, got None" in capsys.readouterr().err
 
 
 def test_zcap_output(capsys):

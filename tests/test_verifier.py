@@ -113,6 +113,18 @@ def test_bool_and_numpy_integers_are_integers():
     expected = verify_successful(s, ch, 1)
     assert verify_successful(s, ch, True) == expected
     assert verify_successful(s, ch, numpy.int64(1), node_budget=numpy.int32(10_000)) == expected
+    # the builders and channels take them too; each int build comes first,
+    # so the codebook tables hold Python ints
+    i64 = numpy.int64
+    built = modified_rubber_strategy(i64(2), i64(2), "z", i64(6), True)
+    assert verify_successful(built, make_z_channel(i64(2)), 1) == expected
+    uni = verify_successful(unidirectional_rubber_strategy(3, 2, 7, 1), make_unidirectional_pair(3), 1)
+    built = unidirectional_rubber_strategy(i64(3), i64(2), i64(7), True)
+    assert verify_successful(built, make_unidirectional_pair(i64(3)), True) == uni
+    zero = verify_successful(zero_error_unidirectional_strategy(3, 4), make_unidirectional_pair(3), 3)
+    assert verify_successful(zero_error_unidirectional_strategy(i64(3), i64(4)), make_unidirectional_pair(3), 3) == zero
+    ident = verify_successful(identity_strategy(2, 1), make_z_channel(2), 1)
+    assert verify_successful(identity_strategy(i64(2), True), make_z_channel(i64(2)), 1) == ident
 
 
 def test_node_budget_boundary_is_exact():
