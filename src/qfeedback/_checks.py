@@ -3,17 +3,20 @@
 import operator
 
 
-def check_integer(value: int, what: str) -> None:
-    """Reject a value that is not an integer (bool and numpy integers pass)."""
+def check_integer(value: int, what: str) -> int:
+    """The value as a plain int; a ValueError if it is not an integer
+    (bool and numpy integers are)."""
     try:
-        operator.index(value)
+        return operator.index(value)
     except TypeError:
         raise ValueError(f"{what} must be an integer, got {value!r}") from None
 
 
-def check_at_least(value: int, minimum: int, what: str) -> None:
-    """Reject a non-integer, or an integer below minimum."""
-    check_integer(value, what)
+def check_at_least(value: int, minimum: int, what: str) -> int:
+    """The value as a plain int; a ValueError for a non-integer, or an
+    integer below minimum."""
+    value = check_integer(value, what)
     if value < minimum:
         least = "nonnegative" if minimum == 0 else f"at least {minimum}"
         raise ValueError(f"{what} must be {least}, got {value}")
+    return value

@@ -44,7 +44,7 @@ class ChannelGraph:
     _outputs: dict[int, tuple[int, ...]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        check_at_least(self.q, 2, "alphabet size")
+        object.__setattr__(self, "q", check_at_least(self.q, 2, "alphabet size"))
         outputs: dict[int, list[int]] = {s: [] for s in self.symbols}
         if len(outputs) != len(self.symbols):
             raise ValueError("duplicate symbols")
@@ -79,6 +79,7 @@ def _with_self_loops(symbols: Iterable[int], extra: Iterable[tuple[int, int]]) -
 
 def make_z_channel(q: int) -> ChannelGraph:
     """Channel where each positive symbol may decay by one: i -> i - 1."""
+    q = check_at_least(q, 2, "alphabet size")
     symbols = tuple(range(q))
     extra = [(i, i - 1) for i in range(1, q)]
     return ChannelGraph("z", q, symbols, _with_self_loops(symbols, extra))
@@ -86,6 +87,7 @@ def make_z_channel(q: int) -> ChannelGraph:
 
 def make_inverse_z_channel(q: int) -> ChannelGraph:
     """Mirror of the Z channel: each symbol below q-1 may grow by one."""
+    q = check_at_least(q, 2, "alphabet size")
     symbols = tuple(range(q))
     extra = [(i, i + 1) for i in range(q - 1)]
     return ChannelGraph("inverse_z", q, symbols, _with_self_loops(symbols, extra))
@@ -93,6 +95,7 @@ def make_inverse_z_channel(q: int) -> ChannelGraph:
 
 def make_symmetric_channel(q: int) -> ChannelGraph:
     """Complete channel: any symbol can become any other."""
+    q = check_at_least(q, 2, "alphabet size")
     symbols = tuple(range(q))
     extra = [(i, j) for i in symbols for j in symbols if i != j]
     return ChannelGraph("symmetric", q, symbols, _with_self_loops(symbols, extra))
@@ -104,6 +107,7 @@ def make_star_channel(q: int) -> ChannelGraph:
     Ordinary symbol i may become i + 1 (for i <= q - 2), the hub may become
     q - 1, and symbol 0 may become the hub, closing the cycle.
     """
+    q = check_at_least(q, 2, "alphabet size")
     symbols = (STAR,) + tuple(range(q))
     extra = [(i, i + 1) for i in range(q - 1)]
     extra += [(STAR, q - 1), (0, STAR)]
@@ -134,7 +138,7 @@ class UnidirectionalChannel:
     q: int
 
     def __post_init__(self) -> None:
-        check_at_least(self.q, 2, "alphabet size")
+        object.__setattr__(self, "q", check_at_least(self.q, 2, "alphabet size"))
 
     @property
     def symbols(self) -> tuple[int, ...]:

@@ -32,7 +32,7 @@ class RunConstraint:
     r: int
 
     def __post_init__(self) -> None:
-        check_at_least(self.q, 2, "alphabet size")
+        object.__setattr__(self, "q", check_at_least(self.q, 2, "alphabet size"))
         if not isinstance(self.reserved, tuple) or not self.reserved:
             raise ValueError(f"reserved symbols must be a non-empty tuple, got {self.reserved!r}")
         for s in self.reserved:
@@ -40,7 +40,7 @@ class RunConstraint:
                 raise ValueError(f"reserved symbol {s} outside alphabet of size {self.q}")
         if len(set(self.reserved)) != len(self.reserved):
             raise ValueError("the reserved symbols must differ")
-        check_at_least(self.r, 1, "run length")
+        object.__setattr__(self, "r", check_at_least(self.r, 1, "run length"))
 
 
 def _step(constraint: RunConstraint, state: State, symbol: int) -> Optional[State]:
@@ -93,7 +93,7 @@ def _suffix_counts(constraint: RunConstraint, length: int) -> list[dict[State, i
 
 def count(constraint, length: int) -> int:
     """Exact number of valid strings of the given length."""
-    check_at_least(length, 0, "length")
+    length = check_at_least(length, 0, "length")
     return _suffix_counts(constraint, length)[length][_START]
 
 
@@ -129,10 +129,44 @@ def rank(constraint, word: Sequence[int]) -> int:
     return idx
 
 
+def suffix_ids(constraint, word: Sequence[int]) -> list[int]:
+    """For each L in 0..len(word), one integer naming word[L:] after L symbols.
+
+    The id packs (the rank of word[L:] among the valid continuations of
+    word[:L], L, the DP state at L): the continuations depend on word[:L]
+    only through the DP state, so two valid words of one length get equal
+    ids at L exactly when they agree from L on and end word[:L] in the
+    same trailing run.  word must be valid.
+    """
+    length = len(word)
+    table = _suffix_counts(constraint, length)
+    states = {state: i for i, state in enumerate(table[0])}
+    state: State = _START
+    # per position: the DP state's index, and how many continuations rank below the symbol there
+    trail = []
+    for pos, symbol in enumerate(word):
+        below = table[length - pos - 1]
+        smaller = 0
+        for lower in range(symbol):
+            nxt = _step(constraint, state, lower)
+            if nxt is not None:
+                smaller += below[nxt]
+        trail.append((states[state], smaller))
+        state = _step(constraint, state, symbol)
+    residual = 0
+    ids = [length * len(states) + states[state]]
+    for pos in range(length - 1, -1, -1):
+        index, smaller = trail[pos]
+        residual += smaller
+        ids.append((residual * (length + 1) + pos) * len(states) + index)
+    ids.reverse()
+    return ids
+
+
 def unrank(constraint, length: int, idx: int) -> tuple[int, ...]:
     """Valid word of the given length with lexicographic index idx."""
     total = count(constraint, length)
-    check_integer(idx, "index")
+    idx = check_integer(idx, "index")
     if not 0 <= idx < total:
         raise ValueError(f"index {idx} out of range for {total} words")
     q = constraint.q

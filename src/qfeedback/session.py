@@ -29,21 +29,25 @@ class Sender(NamedTuple):
     replay fold the state along their own path instead, one feed per
     delivered symbol.
 
-    key, when not None, turns on the verifier's transposition table:
-    key(state, direction) returns a hashable summary of the state, or None
-    where the strategy vouches for no summary.  Soundness: within one
-    message, two nodes with equal keys at the same depth, budget left and
-    channel direction must root identical subtrees (the same inputs, the
-    same outputs and the same decode at every leaf), so that one proof of
-    safety, and one node count, serves both.  A key is sound only beside
-    the decode it was declared for, which is why a Sender holds decode.
+    key_for, when not None, turns on the verifier's transposition table:
+    key_for(channel, t) returns a key function for the search of that
+    channel with error budget t, or None where the strategy vouches for
+    no key there.  The key function maps a state to a hashable summary,
+    and one table serves the whole search, so a key that names no message
+    lets a subtree proven for one message serve another.  Soundness: two
+    nodes of the search, of any messages, whose keys are equal at the same
+    depth, budget left and channel direction must root subtrees with the
+    same node count, every leaf of one decoding to its message exactly
+    where every leaf of the other does, so that one proof of safety, and
+    one node count, serves both.  A key is sound only beside the decode it
+    was declared for, which is why a Sender holds decode.
     """
 
     start: Callable[[int], Any]
     feed: Callable[[Any, int], Any]
     emit: Callable[[Any], int]
     decode: Callable[[tuple[int, ...]], int]
-    key: Optional[Callable[[Any, DirectionState], Optional[Hashable]]] = None
+    key_for: Optional[Callable[[Channel, int], Optional[Callable[[Any], Hashable]]]] = None
 
     def __call__(self, message: int, received_prefix: tuple[int, ...]) -> int:
         state = self.start(message)
@@ -63,13 +67,13 @@ class Strategy:
 
     The verifier, run_session and replay fold a declared Sender's state,
     one feed per delivered symbol, and ask any other encode_step about each
-    prefix.  A declared key also turns on the verifier's transposition
-    table, with no further flag: each subtree is proven safe once per
-    sender key, and a repeat adds the stored node count, so a verdict's
-    nodes still counts the whole tree (see the verifier module for the
-    walk).  Each strategy that declares a key states in its docstring why
-    the key is sound; a strategy whose decode is not its Sender's keeps
-    the fold but no key.
+    prefix.  A key declared for the search also turns on the verifier's
+    transposition table, with no further flag: each subtree is proven safe
+    once per sender key, whatever the message, and a repeat adds the
+    stored node count, so a verdict's nodes still counts the whole tree
+    (see the verifier module for the walk).  Each strategy that declares a
+    key states in its docstring where and why the key is sound; a strategy
+    whose decode is not its Sender's keeps the fold but no key.
     """
 
     name: str
@@ -90,13 +94,13 @@ def _prefix_feed(state: tuple[int, tuple[int, ...]], y: int) -> tuple[int, tuple
 def sender_of(strategy: Strategy) -> Sender:
     """The Sender to walk: encode_step itself when it is one.
 
-    Its key is dropped when decode is not the one it was declared for.
+    Its key_for is dropped when decode is not the one it was declared for.
     Any other encode_step gets an adapter: its state is (message, received
     prefix), its emit calls encode_step, and it has no key.
     """
     step = strategy.encode_step
     if isinstance(step, Sender):
-        return step if step.decode is strategy.decode else step._replace(key=None)
+        return step if step.decode is strategy.decode else step._replace(key_for=None)
     return Sender(_prefix_start, _prefix_feed, lambda state: step(*state), strategy.decode)
 
 
@@ -177,18 +181,22 @@ def advance_direction(channel: Channel, direction: DirectionState, sent: int, re
     return channel.direction_after(direction, sent, received)
 
 
-def check_budget(strategy: Strategy, t: int) -> None:
-    """Reject an error budget that no block of this strategy can have."""
-    check_at_least(t, 0, "error budget")
+def check_budget(strategy: Strategy, t: int) -> int:
+    """The error budget as a plain int; reject one that no block of this
+    strategy can have."""
+    t = check_at_least(t, 0, "error budget")
     if t > strategy.block_length:
         raise ValueError("error budget exceeds the block length")
+    return t
 
 
-def check_message(strategy: Strategy, message: int) -> None:
-    """Reject a message index outside the strategy's message set."""
-    check_integer(message, "message")
+def check_message(strategy: Strategy, message: int) -> int:
+    """The message index as a plain int; reject one outside the
+    strategy's message set."""
+    message = check_integer(message, "message")
     if not 0 <= message < strategy.message_count:
         raise ValueError(f"message {message} out of range for M={strategy.message_count}")
+    return message
 
 
 def run_session(strategy: Strategy, channel: Channel, adversary: Adversary, message: int, t: int) -> Transcript:
@@ -197,8 +205,8 @@ def run_session(strategy: Strategy, channel: Channel, adversary: Adversary, mess
     Raises ValueError on hard faults: the strategy emitting a symbol outside
     the alphabet, or the adversary choosing an inadmissible output.
     """
-    check_message(strategy, message)
-    check_budget(strategy, t)
+    message = check_message(strategy, message)
+    t = check_budget(strategy, t)
     symbols = frozenset(channel.symbols)
     n = strategy.block_length
     sent: list[int] = []
@@ -231,7 +239,7 @@ def replay(strategy: Strategy, message: int, received: Sequence[int]) -> tuple[i
     Determinism audit: for any completed Transcript, replay(strategy, m, y)
     must reproduce x exactly.
     """
-    check_message(strategy, message)
+    message = check_message(strategy, message)
     y = tuple(received)
     if len(y) > strategy.block_length:
         raise ValueError("received word longer than the block")

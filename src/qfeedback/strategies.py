@@ -28,23 +28,27 @@ immutable state, a start per message, a feed per delivered symbol and an
 emit of the next input.  The verifier, run_session and replay fold that
 state along their own path; called on (message, prefix), the Sender runs
 the fold afresh.  So a built-in Strategy holds no mutable state, and one
-may be shared across threads.  The modified rubber state is (codeword,
-receiver stack) and the unidirectional rubber state is (codeword,
-position, phase, receiver stack), its phase the channel's DirectionState
-and its stack pushed from the first symbol on.  zero_error and identity
-hold the message digits, computed once per message.  The two rubber
-schemes also declare a key for the verifier's transposition table; each
-builder's docstring gives the soundness argument.
+may be shared across threads.  A rubber sender's stack is
+codeword[:matched] + tail, matched the length of its common prefix with
+the codeword: the modified rubber state is (codeword, matched, tail,
+message), and the unidirectional one adds the position and the phase,
+the channel's DirectionState, its stack pushed from the first symbol on.
+So a feed or an emit does no work in the block length: it compares one
+codeword symbol and settles the tail, which a repair keeps short.
+zero_error and identity hold the message digits, computed once per
+message.  The two rubber schemes also declare one key for the verifier's
+whole search (_search_key, which gives the soundness argument); each
+builder's docstring says where.
 """
 
 from __future__ import annotations
 
-from typing import NamedTuple, Optional, Sequence
+from typing import Any, Callable, NamedTuple, Optional, Sequence
 
 from ._checks import check_at_least
-from .channels import DirectionState
-from .codebook import RunConstraint, count, is_valid, rank, unrank
-from .session import Sender, Strategy
+from .channels import DirectionState, UnidirectionalChannel
+from .codebook import RunConstraint, count, is_valid, rank, suffix_ids, unrank
+from .session import Channel, Sender, Strategy
 
 
 def _settle(stack: list[int], rubber: int, correction: int, run_length: int) -> list[int]:
@@ -73,21 +77,82 @@ def rubber_stack_parse(symbols: Sequence[int], *, rubber: int, correction: int, 
     return stack
 
 
-def _automaton_next(w: tuple[int, ...], stack: tuple[int, ...], rubber: int, fill: int) -> int:
-    """Sender rule given the receiver's current stack.
+def _push(
+    w: Sequence[int], matched: int, tail: tuple[int, ...], y: int, rubber: int, correction: int, run_length: int
+) -> tuple[int, tuple[int, ...]]:
+    """Push y onto the sender's stack w[:matched] + tail and settle it.
 
-    Send the next info symbol while the stack is a proper prefix of the
-    codeword, the fill once the codeword is safely delivered, and the
-    rubber symbol whenever the stack deviates (a repair is pending).
+    Returns (matched, tail) again, matched the length of the stack's
+    common prefix with the codeword w.  Only a rubber push can settle
+    anything.  While tail[0] is neither rubber nor one correction short of
+    it, no pop reaches it (it could only turn into rubber by a bump, and
+    one settle bumps it at most once, on top), so the tail settles alone
+    and only a bumped tail[0] can turn back into w[matched].  Otherwise
+    the whole stack settles: a pop below matched leaves one bumped symbol
+    on top of the rest of w's prefix, and a bump can restore w[matched].
     """
-    k = len(w)
-    if len(stack) < k:
-        if stack == w[: len(stack)]:
-            return w[len(stack)]
-        return rubber
-    if stack[:k] == w:
-        return fill
-    return rubber
+    if y != rubber:
+        return matched, tail + (y,)
+    if tail and tail[0] != rubber and tail[0] + correction != rubber:
+        stack = _settle([*tail, y], rubber, correction, run_length)
+        if len(stack) == 1 and matched < len(w) and stack[0] == w[matched]:
+            return matched + 1, ()
+        return matched, tuple(stack)
+    stack = _settle([*w[:matched], *tail, y], rubber, correction, run_length)
+    matched = min(matched, len(stack))
+    if matched and stack[matched - 1] != w[matched - 1]:
+        matched -= 1
+    elif matched < min(len(stack), len(w)) and stack[matched] == w[matched]:
+        matched += 1
+    return matched, tuple(stack[matched:])
+
+
+def _search_key(constraint: RunConstraint, k: int, n: int) -> Callable[[Any], int]:
+    """The table key of a rubber sender state, one integer for every message.
+
+    It packs the codeword's suffix id at matched (codebook.suffix_ids:
+    the unread suffix and the codeword's trailing reserved run before
+    it), the tail, and whether the message is 0; every state with the
+    whole codeword matched gets one key, -1.  The tail's symbols are
+    digits below q where a key is declared, and its length is below
+    n + 1, so the packing is injective.  The suffix ids are computed once
+    per message, at its first keyed node.
+
+    Soundness, where a builder declares the key: a search whose errors
+    each move a sent symbol one step against the repair, within the
+    alphabet, and whose budget is at most the scheme's t.  There rubber
+    arrives only as itself and the fill is never corrupted, so the tail
+    never starts with rubber, no pop reaches below matched, and
+    codeword[:matched] stays in the stack.  Each pop repairs one error,
+    so with at most t errors the final stack is at least k long (a
+    shorter one would rank among shorter words, by its whole prefix).
+    Decode is then right exactly where the stack's first k symbols are
+    the codeword, or, for message 0, an invalid word; and whether
+    codeword[:matched] + X is valid depends on codeword[:matched] only
+    through its trailing reserved run.  Below a node, the inputs and the
+    rest of the stack depend on the state only through the unread suffix
+    and the tail.  So states with equal keys, at equal depth, budget left
+    and direction, root subtrees of one size that are safe together,
+    whatever their messages.  Once matched == k nothing below can undo
+    the codeword: every leaf decodes right, and the inputs below (the
+    fill, the filler, the flag) depend only on the depth and the
+    direction.
+    """
+    q = constraint.q
+    keyed, ids = None, ()
+
+    def key(state) -> int:
+        nonlocal keyed, ids
+        if state.matched == k:
+            return -1
+        if state.message != keyed:
+            keyed, ids = state.message, suffix_ids(constraint, state.codeword)
+        code = ids[state.matched]
+        for s in state.tail:
+            code = code * q + s
+        return (code * (n + 1) + len(state.tail)) * 2 + (state.message == 0)
+
+    return key
 
 
 def _decode_word(constraint, word: Sequence[int]) -> int:
@@ -108,11 +173,17 @@ def _digits(m: int, base: int, length: int) -> tuple[int, ...]:
 
 
 class RubberState(NamedTuple):
-    """Sender state of the modified rubber scheme."""
+    """Sender state of the modified rubber scheme.
+
+    The receiver's parse of everything delivered so far is
+    codeword[:matched] + tail, matched the length of its common prefix
+    with the codeword.
+    """
 
     codeword: tuple[int, ...]
-    # the receiver's parse of everything delivered so far
-    stack: tuple[int, ...]
+    matched: int
+    tail: tuple[int, ...]
+    message: int
 
 
 def modified_rubber_strategy(q: int, r: int, side: str, n: int, t: int) -> Strategy:
@@ -125,18 +196,22 @@ def modified_rubber_strategy(q: int, r: int, side: str, n: int, t: int) -> Strat
     mistaken for rubber by the adversary's doing, and every error costs
     exactly r extra positions.
 
-    Memo key: the sender state (codeword, receiver stack), on every
-    channel.  The next input is emit(state) and the next state is
-    feed(state, y), so the state fixes every input below the node; decode
-    ranks the parse of the whole received word, and that parse is the
-    stack after the node, pushed with the symbols delivered below it.  So
-    equal states at equal depth, budget and direction root identical
-    subtrees.
+    The sender sends the fill once the stack holds the codeword
+    (matched == k), the rubber symbol while a tail is pending (a repair),
+    and the next codeword symbol otherwise.
+
+    Table key (key_for, see _search_key): declared for a budget up to t
+    on a channel whose every error moves a symbol the sender can send one
+    step against the repair (x to x-1 for "z"), within the alphabet, as
+    on the scheme's own channel.  Elsewhere the search walks with no
+    table: on sym, say, the adversary forges rubber and pops into the
+    matched prefix, and with a budget above t a final stack can fall
+    short of k.
     """
-    check_at_least(q, 2, "alphabet size")
-    check_at_least(r, 1, "run length")
-    check_at_least(t, 0, "error budget")
-    check_at_least(n, r * t, "block length")
+    q = check_at_least(q, 2, "alphabet size")
+    r = check_at_least(r, 1, "run length")
+    t = check_at_least(t, 0, "error budget")
+    n = check_at_least(n, r * t, "block length")
     k = n - r * t
     if side == "z":
         rubber, correction, fill = q - 1, +1, 0
@@ -148,23 +223,37 @@ def modified_rubber_strategy(q: int, r: int, side: str, n: int, t: int) -> Strat
     message_count = count(constraint, k)
 
     def start(m: int) -> RubberState:
-        return RubberState(unrank(constraint, k, m), ())
+        return RubberState(unrank(constraint, k, m), 0, (), m)
 
     def feed(state: RubberState, y: int) -> RubberState:
-        return RubberState(state.codeword, tuple(_settle([*state.stack, y], rubber, correction, r)))
+        w, matched, tail, m = state
+        if tail or matched == k or y != w[matched]:
+            matched, tail = _push(w, matched, tail, y, rubber, correction, r)
+        else:
+            matched += 1
+        return RubberState(w, matched, tail, m)
 
     def emit(state: RubberState) -> int:
-        return _automaton_next(state.codeword, state.stack, rubber, fill)
+        if state.matched == k:
+            return fill
+        return rubber if state.tail else state.codeword[state.matched]
 
     def decode(received: tuple[int, ...]) -> int:
         stack = rubber_stack_parse(received, rubber=rubber, correction=correction, run_length=r)
         return _decode_word(constraint, stack[:k])
 
-    def sender_key(state: RubberState, direction: DirectionState) -> RubberState:
-        return state
+    def key_for(channel: Channel, budget: int) -> Optional[Callable[[RubberState], int]]:
+        symbols = set(channel.symbols)
+        one_step = all(
+            y in (x, x - correction) and 0 <= y < q
+            for x in range(q)
+            if x in symbols
+            for y in channel.outputs_for(x, DirectionState.UNDECIDED)
+        )
+        return _search_key(constraint, k, n) if one_step and budget <= t else None
 
     name = f"modified_rubber(q={q},r={r},side={side},n={n},t={t})"
-    return Strategy(name, message_count, n, Sender(start, feed, emit, decode, sender_key), decode)
+    return Strategy(name, message_count, n, Sender(start, feed, emit, decode, key_for), decode)
 
 
 def zero_error_unidirectional_strategy(q: int, n: int) -> Strategy:
@@ -180,10 +269,10 @@ def zero_error_unidirectional_strategy(q: int, n: int) -> Strategy:
     clean anyway.
 
     Sender state: (digits, position, upward error seen), the digits
-    computed once per message.  No memo key.
+    computed once per message.  No table key.
     """
-    check_at_least(q, 2, "alphabet size")
-    check_at_least(n, 1, "block length")
+    q = check_at_least(q, 2, "alphabet size")
+    n = check_at_least(n, 1, "block length")
     base = (q + 1) // 2
     message_count = base ** (n - 1)
 
@@ -221,10 +310,13 @@ class UniState(NamedTuple):
     position: int
     # UNDECIDED while clean, else the direction of the first error
     phase: DirectionState
-    # the receiver's parse of everything delivered so far: under the down
-    # convention while clean (a clean prefix parses to itself under either),
-    # under the committed one from the first error on
-    stack: tuple[int, ...]
+    # the receiver's parse of everything delivered so far is
+    # codeword[:matched] + tail: under the down convention while clean (a
+    # clean prefix parses to itself under either), under the committed one
+    # from the first error on
+    matched: int
+    tail: tuple[int, ...]
+    message: int
 
 
 def unidirectional_rubber_strategy(q: int, r: int, n: int, t: int) -> Strategy:
@@ -259,52 +351,60 @@ def unidirectional_rubber_strategy(q: int, r: int, n: int, t: int) -> Strategy:
     to itself, and pushing the first error onto it gives the committed
     parse of the whole received prefix.
 
-    Memo key: the sender state wherever the sender's phase is the
-    channel's direction, else None.  Both UNDECIDED: no error yet, and the
-    state, fixed by (codeword, position), is the clean prefix's.  Both
-    committed: the flag is immune, so decode applies the committed parse,
-    whose stack the state holds.  Either way the state fixes every input
-    and decode below the node.  They differ only after an error on a
-    channel that commits no direction (a graph), where the flag may be
-    corrupted into a parse the state does not hold.  On the unidirectional
-    channel both commit at the same error, the same way: every node keys.
+    Table key (key_for, see _search_key): declared for a budget up to t
+    on the unidirectional channel of this alphabet, where the sender and
+    the channel commit at the same error, the same way.  So the phase is
+    the table entry's direction and the position its depth, every
+    committed error is a one-step move against the committed repair, and
+    the flag is immune once committed; while clean, its one corruption
+    reads the clean prefix verbatim, which is the same parse.  On a
+    channel graph the sender commits where the channel does not, and the
+    flag may be corrupted into a parse the state does not hold, so the
+    search walks with no table.
     """
-    check_at_least(q, 3, "alphabet size")
-    check_at_least(r, 2, "run length")
-    check_at_least(t, 0, "error budget")
-    check_at_least(n, r * t + 1, "block length")
+    q = check_at_least(q, 3, "alphabet size")
+    r = check_at_least(r, 2, "run length")
+    t = check_at_least(t, 0, "error budget")
+    n = check_at_least(n, r * t + 1, "block length")
     k = n - r * t - 1
     constraint = RunConstraint(q, (0, q - 1), r)
     message_count = count(constraint, k)
-    down, up = (q - 1, +1), (0, -1)
-    conventions = {DirectionState.UNDECIDED: down, DirectionState.NEGATIVE: down, DirectionState.POSITIVE: up}
-
-    def clean_symbol(w: tuple[int, ...], i: int) -> int:
-        # With no error so far, exactly i symbols stand delivered.
-        if i < k:
-            return w[i]
-        return 1 if (i - k) % r == 0 else 0
+    # per phase: (rubber, correction, fill)
+    conventions = {
+        DirectionState.UNDECIDED: (q - 1, +1, 0),
+        DirectionState.NEGATIVE: (q - 1, +1, 0),
+        DirectionState.POSITIVE: (0, -1, q - 1),
+    }
 
     def start(m: int) -> UniState:
-        return UniState(unrank(constraint, k, m), 0, DirectionState.UNDECIDED, ())
+        return UniState(unrank(constraint, k, m), 0, DirectionState.UNDECIDED, 0, (), m)
 
     def emit(state: UniState) -> int:
-        w, i, phase, stack = state
+        w, i, phase, matched, tail, _ = state
         if i == n - 1:
             return q - 1 if phase is DirectionState.POSITIVE else 0
         if phase is DirectionState.UNDECIDED:
-            return clean_symbol(w, i)
-        if phase is DirectionState.NEGATIVE:
-            return _automaton_next(w, stack, q - 1, 0)
-        return _automaton_next(w, stack, 0, q - 1)
+            # with no error so far, exactly i symbols stand delivered
+            if i < k:
+                return w[i]
+            return 1 if (i - k) % r == 0 else 0
+        rubber, _, fill = conventions[phase]
+        if matched == k:
+            return fill
+        return rubber if tail else w[matched]
 
     def feed(state: UniState, y: int) -> UniState:
-        w, i, phase, stack = state
+        w, i, phase, matched, tail, m = state
         if phase is DirectionState.UNDECIDED:
             x = emit(state)
             if y != x:
                 phase = DirectionState.POSITIVE if y > x else DirectionState.NEGATIVE
-        return UniState(w, i + 1, phase, tuple(_settle([*stack, y], *conventions[phase], r)))
+        if tail or matched == k or y != w[matched]:
+            rubber, correction, _ = conventions[phase]
+            matched, tail = _push(w, matched, tail, y, rubber, correction, r)
+        else:
+            matched += 1
+        return UniState(w, i + 1, phase, matched, tail, m)
 
     def decode(received: tuple[int, ...]) -> int:
         flag = received[-1]
@@ -319,11 +419,13 @@ def unidirectional_rubber_strategy(q: int, r: int, n: int, t: int) -> Strategy:
             stack = rubber_stack_parse(body, rubber=q - 1, correction=+1, run_length=r)
         return _decode_word(constraint, stack[:k])
 
-    def sender_key(state: UniState, direction: DirectionState) -> Optional[UniState]:
-        return state if state.phase is direction else None
+    def key_for(channel: Channel, budget: int) -> Optional[Callable[[UniState], int]]:
+        if isinstance(channel, UnidirectionalChannel) and channel.q == q and budget <= t:
+            return _search_key(constraint, k, n)
+        return None
 
     name = f"unidirectional_rubber(q={q},r={r},n={n},t={t})"
-    return Strategy(name, message_count, n, Sender(start, feed, emit, decode, sender_key), decode)
+    return Strategy(name, message_count, n, Sender(start, feed, emit, decode, key_for), decode)
 
 
 def identity_strategy(q: int, n: int) -> Strategy:
@@ -333,10 +435,10 @@ def identity_strategy(q: int, n: int) -> Strategy:
     decoding collision; the verifier uses this as its negative control.
 
     Sender state: (digits, position), the digits computed once per
-    message.  No memo key.
+    message.  No table key.
     """
-    check_at_least(q, 2, "alphabet size")
-    check_at_least(n, 1, "block length")
+    q = check_at_least(q, 2, "alphabet size")
+    n = check_at_least(n, 1, "block length")
     message_count = q ** n
 
     def decode(received: tuple[int, ...]) -> int:

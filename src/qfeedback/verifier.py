@@ -22,18 +22,20 @@ budget left, direction), so they are built once per search, through
 admissible_outputs and advance_direction, and kept in a table; an input
 outside the channel's symbols is rejected when its entry is built.
 
-The walk keeps a transposition table, on by default.  When the Sender
-declares a key (each declaring strategy's docstring gives the argument for
-its soundness), every subtree proven safe is stored, per message, under
-(sender key, depth, budget left, direction) with its node count.  A later
-node with the same key adds that count to the node total instead of
-walking the subtree again, unless the count would cross the node cap, in
-which case the subtree is walked.  So the node count still counts the
-whole tree, and every Verdict field (outcome, counterexample, nodes)
-equals the plain walk's.  The table is off when the Sender declares no
-key, when decode is not the Sender's own, when the adapter runs, and when
-an on_transcript callback is given, since the callback must see every
-leaf.
+The walk keeps a transposition table, on by default, one for the whole
+search.  When the Sender declares a key for the search
+(key_for(channel, t); each declaring strategy's docstring says where and
+why its key is sound), every subtree proven safe is stored under (sender
+key, depth, budget left, direction) with its node count.  A key need not
+name the message, so a subtree proven for one message can serve every
+later one.  A later node with the same entry adds that count to the node
+total instead of walking the subtree again, unless the count would cross
+the node cap, in which case the subtree is walked.  So the node count
+still counts the whole tree, and every Verdict field (outcome,
+counterexample, nodes) equals the plain walk's.  The table is off when
+the Sender declares no key for the search, when decode is not the
+Sender's own, when the adapter runs, and when an on_transcript callback
+is given, since the callback must see every leaf.
 """
 
 from __future__ import annotations
@@ -56,9 +58,10 @@ from .session import (
 DEFAULT_NODE_BUDGET = 10_000_000
 
 
-def check_node_budget(node_budget: int) -> None:
-    """Reject a node cap that would stop the search before its first node."""
-    check_at_least(node_budget, 1, "node budget")
+def check_node_budget(node_budget: int) -> int:
+    """The node cap as a plain int; reject one that would stop the search
+    before its first node."""
+    return check_at_least(node_budget, 1, "node budget")
 
 
 @dataclass(frozen=True)
@@ -111,33 +114,33 @@ def verify_successful(
     yields the distinct outcome "inconclusive".  nodes counts every node of
     the tree walked up to the verdict, memo hits included.
     """
-    check_budget(strategy, t)
-    check_node_budget(node_budget)
+    t = check_budget(strategy, t)
+    node_budget = check_node_budget(node_budget)
     n = strategy.block_length
     decode = strategy.decode
     symbols = frozenset(channel.symbols)
     sender = sender_of(strategy)
     feed, emit = sender.feed, sender.emit
-    sender_key = sender.key if on_transcript is None else None
+    key = sender.key_for(channel, t) if sender.key_for is not None and on_transcript is None else None
+    # (sender key, depth, budget left, direction) -> node count of a subtree proven safe
+    memo: dict = {}
     # (input, budget left, direction) -> that node's children
     children_of: dict = {}
     nodes = 0
     for m in range(strategy.message_count):
-        # key -> [node count of the subtree, once proven safe, else 0]
-        memo: dict = {}
         # the node's path: sent[i] and received[i] for every i below its depth
         sent = [None] * n
         received = [None] * n
         # preorder, outputs ascending: pending children pushed in reverse as
         # (depth, received symbol, budget left, direction, parent state); an
-        # entry that closes a keyed subtree is (-1, its memo cell, the node
+        # entry that closes a keyed subtree is (-1, its memo entry, the node
         # count before it, None, None)
         stack = [(0, None, t, DirectionState.UNDECIDED, sender.start(m))]
         while stack:
             depth, y, budget, direction, state = stack.pop()
             if depth < 0:
                 # every node below was walked and every leaf decoded to m
-                y[0] = nodes - budget
+                memo[y] = nodes - budget
                 continue
             nodes += 1
             if nodes > node_budget:
@@ -154,16 +157,13 @@ def verify_successful(
                 if decoded != m:
                     return Verdict("counterexample", m, tuple(sent), word, decoded, nodes)
                 continue
-            if sender_key is not None:
-                key = sender_key(state, direction)
-                if key is not None:
-                    # one hash per node: the cell is filled in when the subtree closes
-                    cell = memo.setdefault((key, depth, budget, direction), [0])
-                    size = cell[0]
-                    if size and nodes - 1 + size <= node_budget:
-                        nodes += size - 1
-                        continue
-                    stack.append((-1, cell, nodes - 1, None, None))
+            if key is not None:
+                entry = (key(state), depth, budget, direction)
+                size = memo.get(entry)
+                if size is not None and nodes - 1 + size <= node_budget:
+                    nodes += size - 1
+                    continue
+                stack.append((-1, entry, nodes - 1, None, None))
             x = emit(state)
             children = children_of.get((x, budget, direction))
             if children is None:

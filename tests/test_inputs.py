@@ -12,7 +12,14 @@ import pytest
 
 from qfeedback import cli
 from qfeedback.bounds import run_growth_rate, sphere_packing_message_bound
-from qfeedback.channels import ChannelGraph, UnidirectionalChannel
+from qfeedback.channels import (
+    ChannelGraph,
+    UnidirectionalChannel,
+    make_inverse_z_channel,
+    make_star_channel,
+    make_symmetric_channel,
+    make_z_channel,
+)
 from qfeedback.codebook import RunConstraint, count, unrank
 from qfeedback.strategies import (
     identity_strategy,
@@ -36,6 +43,10 @@ def curves_job(q):
 ENTRY_POINTS = [
     (graph, {"q": 2}, {"q": "alphabet size"}),
     (UnidirectionalChannel, {"q": 3}, {"q": "alphabet size"}),
+    (make_z_channel, {"q": 3}, {"q": "alphabet size"}),
+    (make_inverse_z_channel, {"q": 3}, {"q": "alphabet size"}),
+    (make_symmetric_channel, {"q": 3}, {"q": "alphabet size"}),
+    (make_star_channel, {"q": 3}, {"q": "alphabet size"}),
     (RunConstraint, {"q": 3, "reserved": (2,), "r": 2}, {"q": "alphabet size", "r": "run length"}),
     (count, {"constraint": CONSTRAINT, "length": 3}, {"length": "length"}),
     (unrank, {"constraint": CONSTRAINT, "length": 3, "idx": 1}, {"length": "length", "idx": "index"}),

@@ -1,0 +1,186 @@
+"""Each oracle shows that it can fail: one planted fault per row.
+
+A row names a fault, builds it, and runs the oracle that must catch it;
+the row passes only if that oracle raises AssertionError.  Strategy-side
+faults replace one field of a built-in Sender (Sender._replace), so the
+strategy keeps its decode and, with it, its table key.  Verifier-side
+faults make one textual substitution in the source of qfeedback/verifier.py
+and load the result as a fresh module; each substitution must match
+exactly once, so a refactor that moves the line fails here, naming the
+row to re-aim, instead of passing silently.  Beside the faults, controls
+run the same oracles on the unplanted copies and must pass.
+"""
+
+import importlib.util
+import itertools
+import sys
+from dataclasses import replace
+
+import pytest
+
+from qfeedback import verifier
+from qfeedback.channels import make_symmetric_channel, make_unidirectional_pair, make_z_channel
+from qfeedback.codebook import RunConstraint, suffix_ids
+from qfeedback.strategies import modified_rubber_strategy, unidirectional_rubber_strategy
+from qfeedback.verifier import verify_successful
+from test_strategies import STACK_CASES, assert_sender_stack_is_the_parse
+from test_verdict_oracle import oracle_verdict
+from test_verifier import assert_memo_matches_full_walk, whole_state_key
+
+_loaded = itertools.count()
+
+
+def verifier_with(old=None, new=None):
+    """verify_successful from a copy of verifier.py with old replaced by new."""
+    with open(verifier.__file__, encoding="utf-8") as handle:
+        source = handle.read()
+    if old is not None:
+        assert source.count(old) == 1, f"re-aim this mutant: {old!r} no longer matches exactly once"
+        source = source.replace(old, new)
+    name = f"qfeedback._verifier_copy{next(_loaded)}"
+    module = importlib.util.module_from_spec(importlib.util.spec_from_loader(name, loader=None))
+    module.__package__ = "qfeedback"
+    # dataclasses look the defining module up while the source runs
+    sys.modules[name] = module
+    try:
+        exec(compile(source, verifier.__file__, "exec"), module.__dict__)
+    finally:
+        del sys.modules[name]
+    # verdicts compare equal only within one class
+    module.Verdict = verifier.Verdict
+    return module.verify_successful
+
+
+def with_sender(strategy, **fields):
+    return replace(strategy, encode_step=strategy.encode_step._replace(**fields))
+
+
+def rubber_z():
+    return modified_rubber_strategy(3, 2, "z", 8, 2)
+
+
+def tuple_key(strategy, constraint, trailing_run=True):
+    """The search-wide key spelled out as a tuple, declared where the
+    strategy declares its own: the unread suffix as (rank among the
+    continuations, matched), the codeword's trailing run before it as the
+    codebook's DP state, the tail, and whether the message is 0."""
+    states = 1 + len(constraint.reserved) * (constraint.r - 1)
+
+    def key_for(channel, t):
+        if strategy.encode_step.key_for(channel, t) is None:
+            return None
+
+        def key(state):
+            suffix = suffix_ids(constraint, state.codeword)[state.matched]
+            run = suffix % states if trailing_run else None
+            return suffix // states, run, state.tail, state.message == 0
+
+        return key
+
+    return with_sender(strategy, key_for=key_for)
+
+
+def unirubber():
+    return unidirectional_rubber_strategy(3, 2, 5, 1)
+
+
+UNI_CODEBOOK = RunConstraint(3, (0, 2), 2)
+
+
+def unnormalised(feed):
+    """A feed that keeps matched where it was when a pop runs below it."""
+
+    def mutant(state, y):
+        after = feed(state, y)
+        return after._replace(matched=state.matched) if after.matched < state.matched else after
+
+    return mutant
+
+
+def differential(strategy, channel, t, verify=verify_successful):
+    return lambda: assert_memo_matches_full_walk(strategy, channel, t, verify)
+
+
+def verdict_oracle(strategy, channel, t):
+    def check():
+        assert verify_successful(strategy, channel, t) == oracle_verdict(strategy, channel, t)
+
+    return check
+
+
+def stack_oracle(strategy, case, channel, t):
+    return lambda: assert_sender_stack_is_the_parse(strategy, STACK_CASES[case][1], channel, t)
+
+
+def keyed_as_on(strategy, home):
+    """The strategy declaring, for every channel, the key it declares on home."""
+    key_for = strategy.encode_step.key_for
+    return with_sender(strategy, key_for=lambda channel, t: key_for(home, t))
+
+
+ENTRY = "entry = (key(state), depth, budget, direction)"
+CAP_CHECK = "if size is not None and nodes - 1 + size <= node_budget:"
+
+ROWS = {
+    # the suffix rank alone names different suffixes alike
+    "key without the trailing run": lambda: differential(
+        tuple_key(unirubber(), UNI_CODEBOOK, trailing_run=False), make_unidirectional_pair(3), 1
+    ),
+    # on sym the adversary forges rubber and pops into the matched prefix
+    "key_for that ignores the channel": lambda: verdict_oracle(
+        keyed_as_on(modified_rubber_strategy(2, 2, "z", 4, 1), make_z_channel(2)), make_symmetric_channel(2), 1
+    ),
+    "feed that does not normalise matched after a pop below it": lambda: stack_oracle(
+        with_sender(rubber_z(), feed=unnormalised(rubber_z().encode_step.feed)),
+        "rubber_z",
+        make_symmetric_channel(3),
+        2,
+    ),
+    "table hit that skips the node-cap check": lambda: differential(
+        rubber_z(), make_z_channel(3), 2, verifier_with(CAP_CHECK, "if size is not None:")
+    ),
+    # a rubber key implies the errors so far where it is declared; the
+    # whole state does not, on a channel that forges rubber
+    "memo entry without the budget": lambda: differential(
+        whole_state_key(modified_rubber_strategy(2, 1, "invz", 3, 1)),
+        make_symmetric_channel(2),
+        2,
+        verifier_with(ENTRY, "entry = (key(state), depth, direction)"),
+    ),
+    # the unidirectional sender's phase is the entry's direction, not part of its key
+    "memo entry without the direction": lambda: differential(
+        unidirectional_rubber_strategy(3, 2, 8, 2),
+        make_unidirectional_pair(3),
+        2,
+        verifier_with(ENTRY, "entry = (key(state), depth, budget)"),
+    ),
+}
+
+CONTROLS = {
+    "tuple key with the trailing run": lambda: differential(
+        tuple_key(unirubber(), UNI_CODEBOOK), make_unidirectional_pair(3), 1
+    ),
+    "the whole state as key": lambda: differential(
+        whole_state_key(modified_rubber_strategy(2, 1, "invz", 3, 1)), make_symmetric_channel(2), 2, verifier_with()
+    ),
+    "the sender's own key_for": lambda: verdict_oracle(
+        modified_rubber_strategy(2, 2, "z", 4, 1), make_symmetric_channel(2), 1
+    ),
+    "the sender's own feed": lambda: stack_oracle(rubber_z(), "rubber_z", make_symmetric_channel(3), 2),
+    "the verifier copied unchanged, rubber": lambda: differential(rubber_z(), make_z_channel(3), 2, verifier_with()),
+    "the verifier copied unchanged, unirubber": lambda: differential(
+        unidirectional_rubber_strategy(3, 2, 8, 2), make_unidirectional_pair(3), 2, verifier_with()
+    ),
+}
+
+
+@pytest.mark.parametrize("row", ROWS)
+def test_the_oracle_catches_the_planted_fault(row):
+    check = ROWS[row]()
+    with pytest.raises(AssertionError):
+        check()
+
+
+@pytest.mark.parametrize("control", CONTROLS)
+def test_the_oracle_passes_without_the_fault(control):
+    CONTROLS[control]()()

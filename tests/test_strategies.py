@@ -319,6 +319,11 @@ def test_unidirectional_validation():
         unidirectional_rubber_strategy(3, 2, 6, -1)
 
 
+def stack_of(state):
+    """A rubber sender's stack: the codeword's matched prefix, then the tail."""
+    return state.codeword[: state.matched] + state.tail
+
+
 @pytest.mark.parametrize("t, k", [(1, 3), (2, 2)])
 @pytest.mark.parametrize("r", [2, 3, 4])
 @pytest.mark.parametrize("q", [3, 4, 5, 6])
@@ -337,7 +342,7 @@ def test_unidirectional_clean_prefix_parses_to_itself(q, r, t, k):
         clean = ()
         while len(clean) < n:
             assert state.phase is DirectionState.UNDECIDED
-            assert state.stack == clean
+            assert stack_of(state) == clean
             assert rubber_stack_parse(clean, **down) == list(clean)
             assert rubber_stack_parse(clean, **up) == list(clean)
             x = sender.emit(state)
@@ -345,7 +350,7 @@ def test_unidirectional_clean_prefix_parses_to_itself(q, r, t, k):
                 if 0 <= y < q:
                     erred = sender.feed(state, y)
                     assert erred.phase is phase
-                    assert list(erred.stack) == rubber_stack_parse(clean + (y,), **convention)
+                    assert list(stack_of(erred)) == rubber_stack_parse(clean + (y,), **convention)
             state = sender.feed(state, x)
             clean += (x,)
 
@@ -362,16 +367,30 @@ BUILDERS = {
 }
 
 
+# the channel on which each rubber builder declares its table key
+KEYED_ON = {"rubber_z": make_z_channel, "rubber_invz": make_inverse_z_channel, "unirubber": make_unidirectional_pair}
+
+
 @pytest.mark.parametrize("q, n, t", [(3, 6, 1), (4, 8, 2), (5, 4, 0)])
 @pytest.mark.parametrize("builder", BUILDERS)
 def test_every_builder_holds_its_declaration(builder, q, n, t):
     # a builder that lost its Sender would still verify the same, through
     # the adapter, but without the fold or the transposition table
     strategy = BUILDERS[builder](q, n, t)
-    assert isinstance(strategy.encode_step, Sender)
-    assert sender_of(strategy) is strategy.encode_step
-    assert strategy.encode_step.decode is strategy.decode
-    assert (strategy.encode_step.key is not None) == ("rubber" in builder)
+    sender = strategy.encode_step
+    assert isinstance(sender, Sender)
+    assert sender_of(strategy) is sender
+    assert sender.decode is strategy.decode
+    if builder not in KEYED_ON:
+        assert sender.key_for is None
+        return
+    # a key for its own channel up to its own budget, and for no other search
+    assert sender.key_for(KEYED_ON[builder](q), t) is not None
+    assert sender.key_for(KEYED_ON[builder](q), t + 1) is None
+    channels = (make_z_channel, make_inverse_z_channel, make_symmetric_channel, make_star_channel, make_unidirectional_pair)
+    for other in channels:
+        if other is not KEYED_ON[builder]:
+            assert sender.key_for(other(q), t) is None, other.__name__
 
 
 @pytest.mark.parametrize("builder", BUILDERS)
@@ -456,22 +475,21 @@ STACK_CHANNELS = {
 }
 
 
-@pytest.mark.parametrize("channel_id", STACK_CHANNELS)
-@pytest.mark.parametrize("case", STACK_CASES)
-def test_the_sender_stack_is_the_receiver_parse(case, channel_id):
-    # at every node of the game tree, the stack the sender folded one
-    # delivered symbol at a time is the receiver's parse of the prefix
-    build, convention_of = STACK_CASES[case]
-    strategy = build()
+def assert_sender_stack_is_the_parse(strategy, convention_of, channel, t):
+    """At every node of the game tree, the stack the sender folded one
+    delivered symbol at a time, codeword[:matched] + tail, is the
+    receiver's parse of the prefix, and matched is its whole common prefix
+    with the codeword."""
     sender = strategy.encode_step
-    channel = STACK_CHANNELS[channel_id](3)
-    t, n = 2, strategy.block_length
+    n = strategy.block_length
     checked = 0
     for m in range(strategy.message_count):
         pending = [((), sender.start(m), t, DirectionState.UNDECIDED)]
         while pending:
             received, state, budget, direction = pending.pop()
-            assert state.stack == tuple(rubber_stack_parse(received, **convention_of(state))), (m, received)
+            w, matched, tail = state.codeword, state.matched, state.tail
+            assert w[:matched] + tail == tuple(rubber_stack_parse(received, **convention_of(state))), (m, received)
+            assert not tail or matched == len(w) or tail[0] != w[matched], (m, received)
             checked += 1
             if len(received) == n:
                 continue
@@ -480,6 +498,13 @@ def test_the_sender_stack_is_the_receiver_parse(case, channel_id):
                 after = advance_direction(channel, direction, x, y)
                 pending.append((received + (y,), sender.feed(state, y), budget - (y != x), after))
     assert checked > strategy.message_count * n
+
+
+@pytest.mark.parametrize("channel_id", STACK_CHANNELS)
+@pytest.mark.parametrize("case", STACK_CASES)
+def test_the_sender_stack_is_the_receiver_parse(case, channel_id):
+    build, convention_of = STACK_CASES[case]
+    assert_sender_stack_is_the_parse(build(), convention_of, STACK_CHANNELS[channel_id](3), 2)
 
 
 # ------------------------------------------------------------ identity

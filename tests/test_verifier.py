@@ -3,15 +3,17 @@ from dataclasses import replace
 import pytest
 
 from qfeedback.bounds import sphere_packing_message_bound
-from qfeedback import strategies
+from qfeedback import codebook, strategies
 from qfeedback.channels import (
     DirectionState,
+    UnidirectionalChannel,
     make_inverse_z_channel,
     make_star_channel,
     make_symmetric_channel,
     make_unidirectional_pair,
     make_z_channel,
 )
+from qfeedback.codebook import RunConstraint, count
 from qfeedback.session import PathAdversary, Strategy, admissible_outputs, advance_direction, run_session
 from qfeedback.strategies import (
     identity_strategy,
@@ -107,7 +109,7 @@ def test_a_node_budget_that_is_not_an_integer_is_rejected(node_budget):
         verify_successful(identity_strategy(2, 2), make_z_channel(2), 1, node_budget=node_budget)
 
 
-def test_bool_and_numpy_integers_are_integers():
+def test_bool_and_numpy_integers_are_integers(monkeypatch):
     numpy = pytest.importorskip("numpy")
     s, ch = modified_rubber_strategy(2, 2, "z", 6, 1), make_z_channel(2)
     expected = verify_successful(s, ch, 1)
@@ -125,6 +127,19 @@ def test_bool_and_numpy_integers_are_integers():
     assert verify_successful(zero_error_unidirectional_strategy(i64(3), i64(4)), make_unidirectional_pair(3), 3) == zero
     ident = verify_successful(identity_strategy(2, 1), make_z_channel(2), 1)
     assert verify_successful(identity_strategy(i64(2), True), make_z_channel(i64(2)), 1) == ident
+    # every stored integer is a plain int, whichever type came in
+    assert type(identity_strategy(i64(2), 3).message_count) is int
+    assert type(verify_successful(identity_strategy(i64(2), 1), make_z_channel(2), True).nodes) is int
+    constraint = RunConstraint(i64(3), (2,), i64(2))
+    for stored in (constraint.q, constraint.r, make_z_channel(i64(3)).q, UnidirectionalChannel(i64(3)).q):
+        assert type(stored) is int
+    # a numpy-built constraint equals the int one and shares its count
+    # table, so neither may fill it with numpy arithmetic, in either order
+    for first in (i64(3), 3):
+        monkeypatch.setattr(codebook, "_SUFFIX_TABLES", {})
+        counts = [count(RunConstraint(q, (2,), 2), 50) for q in (first, 3, i64(3))]
+        assert counts == [7191102919439871377408] * 3
+        assert all(type(c) is int for c in counts)
 
 
 def test_node_budget_boundary_is_exact():
@@ -264,9 +279,9 @@ CHANNELS = {
 }
 
 
-def full_walk(strategy, channel, t, node_budget):
+def full_walk(strategy, channel, t, node_budget, verify=verify_successful):
     # an on_transcript callback turns the memo off; the declared state stays
-    return verify_successful(strategy, channel, t, node_budget=node_budget, on_transcript=lambda tr: None)
+    return verify(strategy, channel, t, node_budget=node_budget, on_transcript=lambda tr: None)
 
 
 def encode_step_walk(strategy, channel, t, node_budget):
@@ -275,19 +290,21 @@ def encode_step_walk(strategy, channel, t, node_budget):
     return verify_successful(plain, channel, t, node_budget=node_budget)
 
 
-def assert_memo_matches_full_walk(strategy, channel, t):
+def assert_memo_matches_full_walk(strategy, channel, t, verify=verify_successful):
     """Every Verdict field agrees, uncapped and at every interesting node cap.
 
     The default walk (declared state and key) is checked against the walk
     with the state but no key, and against the walk through encode_step.
+    verify is the verifier under test, verify_successful unless a test
+    plants a fault in a copy of it.
     """
     tree = encode_step_walk(strategy, channel, t, DEFAULT_NODE_BUDGET)
-    assert full_walk(strategy, channel, t, DEFAULT_NODE_BUDGET) == tree
-    assert verify_successful(strategy, channel, t) == tree
+    assert full_walk(strategy, channel, t, DEFAULT_NODE_BUDGET, verify) == tree
+    assert verify(strategy, channel, t) == tree
     for node_budget in (1, 37, 5_000, tree.nodes - 1, tree.nodes, tree.nodes + 1):
         expected = encode_step_walk(strategy, channel, t, node_budget)
-        assert full_walk(strategy, channel, t, node_budget) == expected, node_budget
-        assert verify_successful(strategy, channel, t, node_budget=node_budget) == expected, node_budget
+        assert full_walk(strategy, channel, t, node_budget, verify) == expected, node_budget
+        assert verify(strategy, channel, t, node_budget=node_budget) == expected, node_budget
     return tree.outcome
 
 
@@ -312,6 +329,17 @@ def test_memo_matches_full_walk(scheme, channel_id):
     assert_memo_matches_full_walk(build(), CHANNELS[channel_id](3), 2)
 
 
+def whole_state_key(strategy):
+    """The strategy keyed by its whole sender state, for every search.
+
+    The state names the message, so this key is sound on every channel,
+    budget and outcome: it is the table of old, one per message, inside
+    the one table of the search.  The searches below fail, and the
+    built-in keys are declared only where the schemes succeed.
+    """
+    return replace(strategy, encode_step=strategy.encode_step._replace(key_for=lambda channel, t: lambda state: state))
+
+
 @pytest.mark.parametrize(
     "strategy, channel_id, t",
     [
@@ -323,12 +351,17 @@ def test_memo_matches_full_walk(scheme, channel_id):
     ],
 )
 def test_memo_matches_full_walk_past_skipped_subtrees(strategy, channel_id, t):
-    assert assert_memo_matches_full_walk(strategy, CHANNELS[channel_id](3), t) == "counterexample"
+    keyed = whole_state_key(strategy)
+    assert assert_memo_matches_full_walk(keyed, CHANNELS[channel_id](3), t) == "counterexample"
 
 
 def codeword_only(strategy):
-    """The strategy with an unsound key: the codeword without the receiver stack."""
-    return replace(strategy, encode_step=strategy.encode_step._replace(key=lambda state, direction: state.codeword))
+    """The strategy with an unsound key, declared for every search: the
+    codeword without the receiver stack."""
+    def key_for(channel, t):
+        return lambda state: state.codeword
+
+    return replace(strategy, encode_step=strategy.encode_step._replace(key_for=key_for))
 
 
 def test_differential_check_catches_an_unsound_key():
