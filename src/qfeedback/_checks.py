@@ -15,7 +15,9 @@ def check_integer(value: int, what: str) -> int:
 def check_at_least(value: int, minimum: int, what: str) -> int:
     """The value as a plain int; a ValueError for a non-integer, or an
     integer below minimum."""
-    value = check_integer(value, what)
+    # a plain int skips the call: the bound curves check q at every tau
+    if type(value) is not int:
+        value = check_integer(value, what)
     if value < minimum:
         least = "nonnegative" if minimum == 0 else f"at least {minimum}"
         raise ValueError(f"{what} must be {least}, got {value}")

@@ -14,18 +14,15 @@ over one positive common denominator, so no step reduces a fraction.
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
+from typing import Callable
 
 from ._checks import check_at_least
 from .channels import ChannelGraph
-
-
-def _check_alphabet(q: int) -> None:
-    if q < 2:
-        raise ValueError(f"alphabet size must be at least 2, got {q}")
 
 
 def _check_tau(tau: float) -> None:
@@ -133,6 +130,22 @@ def zero_error_capacity(g: ChannelGraph) -> float:
 # Root of the run-avoidance recurrence
 
 
+def _bisect(q: int, above: Callable[[float], bool]) -> float:
+    """Bisect [q-1, q], moving hi to a midpoint where above holds and lo
+    to the others, until the bracket is 1e-13 wide or one float wide,
+    whichever comes first; the last midpoint."""
+    lo, hi = float(q - 1), float(q)
+    while hi - lo > 1e-13:
+        mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            break
+        if above(mid):
+            hi = mid
+        else:
+            lo = mid
+    return 0.5 * (lo + hi)
+
+
 @lru_cache(maxsize=None, typed=True)
 def run_growth_rate(q: int, r: int) -> float:
     """Largest real root of x^(r+1) - q*x^r + q - 1, inside (q-1, q].
@@ -140,16 +153,15 @@ def run_growth_rate(q: int, r: int) -> float:
     This is the exponential growth rate of q-ary strings avoiding an r-run
     of a fixed symbol.  x = 1 is always a root; dividing it out leaves
     g(x) = x^r - (q-1)*(x^(r-1) + ... + 1), which satisfies g(q-1) < 0 and
-    g(q) = 1, so bisection on [q-1, q] is safe.  r = 1 collapses to q - 1
-    exactly.
+    g(q) = 1, so bisection on [q-1, q] (_bisect, above where g > 0) is
+    safe.  r = 1 collapses to q - 1 exactly.
 
-    The bisection ends when the bracket is 1e-13 wide or one float wide,
-    whichever comes first.  From q - 1 = 512 on, adjacent floats in
-    [q-1, q] are at least 2^-43 > 1e-13 apart, so only the second ends it:
-    the midpoint of a one-float bracket rounds to an endpoint.  Such a
-    midpoint never moves the bracket, since g(lo) <= 0 < g(hi) holds
-    throughout, so a search the width test ends never reaches it, and the
-    root is the same float either way.
+    From q - 1 = 512 on, adjacent floats in [q-1, q] are at least
+    2^-43 > 1e-13 apart, so only a one-float bracket ends the bisection:
+    its midpoint rounds to an endpoint.  Such a midpoint never moves the
+    bracket, since g(lo) <= 0 < g(hi) holds throughout, so a search the
+    width test ends never reaches it, and the root is the same float
+    either way.
     """
     check_at_least(q, 2, "alphabet size")
     check_at_least(r, 1, "run length")
@@ -162,16 +174,22 @@ def run_growth_rate(q: int, r: int) -> float:
             acc = acc * x - (q - 1)
         return acc
 
-    lo, hi = float(q - 1), float(q)
-    while hi - lo > 1e-13:
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            break
-        if deflated(mid) > 0.0:
-            hi = mid
-        else:
-            lo = mid
-    return 0.5 * (lo + hi)
+    return _bisect(q, lambda x: deflated(x) > 0.0)
+
+
+@lru_cache(maxsize=None)
+def _log_growth_ceiling(q: int) -> float:
+    """log of the largest value run_growth_rate(q, r) can return, for any r.
+
+    That is the bisection that always moves lo (_bisect, above nowhere),
+    call it A.  By induction on the step, any bisection's lo is at most
+    A's and its hi at most q, so its midpoint, and what it returns at that
+    step, is at most A's (float rounding is monotone), and A's midpoints
+    only rise.  A bisection whose hi never moves is A itself.  One whose
+    hi moved to a midpoint lies at or below A's lo from then on, so what
+    it returns, at whatever step, is at most what A returns.
+    """
+    return math.log(_bisect(q, lambda x: False))
 
 
 # ---------------------------------------------------------------------------
@@ -180,27 +198,36 @@ def run_growth_rate(q: int, r: int) -> float:
 
 def modified_rubber_bound(q: int, tau: float) -> float:
     """Best rubber-scheme rate at error fraction tau: max over run lengths
-    r >= 2 of (1 - r*tau) * log_q(growth rate).  Zero beyond tau = 1/2; the
-    tau = 0 value is the limit 1.
+    r >= 2 of (1 - r*tau) * log_q(growth rate).  Zero from tau = 1/2 on,
+    where no run length leaves room (1 - r*tau <= 0), returned at once, as
+    the curves ask for half their grid there; the tau = 0 value is the
+    limit 1.
 
-    The search over r stops once 1 - r*tau, with a rounding-sized slack,
-    falls below the best rate so far.  The stop is exact: in floats the
-    growth rate is at most q and math.log is monotone, so the computed
-    rate of run length r is at most (1 - r*tau)*(1 + u)^2 with u = 2^-53
-    (one rounding for the product, one for the quotient), well inside the
-    slack factor 1 + 1e-14; and 1 - r*tau only falls as r grows, so no
-    longer run can beat the best.  The result is the full search's, bit
-    for bit, after a handful of roots instead of ~1/tau (24 at tau =
-    1e-12)."""
-    _check_alphabet(q)
+    The search over r stops once (1 - r*tau) * L / log(q), computed as
+    each rate is, is at most the best rate so far, L the log of the
+    largest growth rate any run length can give (_log_growth_ceiling).
+    The stop is exact: float rounding and math.log are monotone, 1 - r*tau
+    only falls as r grows, and every growth rate is at least 1, so the
+    computed rate of every run length from r on is at most that ceiling,
+    and none can beat the best; once r*tau >= 1 the ceiling is at most 0,
+    so the stop fires.  The result is the full search's, bit for bit,
+    after a handful of roots instead of ~1/tau (24 at tau = 1e-12).  At a
+    tau so small that 1 - r*tau rounds to 1, the roots reach their largest
+    float, the rates the ceiling itself, after a few dozen run lengths (45
+    at q = 2, fewer for larger q), and the search stops there."""
+    q = check_at_least(q, 2, "alphabet size")
     _check_tau(tau)
     if tau == 0.0:
         return 1.0
+    if tau >= 0.5:
+        return 0.0
     best = 0.0
-    for r in range(2, math.ceil(1.0 / tau) + 1):
-        if (1.0 - r * tau) * (1.0 + 1e-14) < best:
+    ceiling, log_q = _log_growth_ceiling(q), math.log(q)
+    for r in itertools.count(2):
+        room = 1.0 - r * tau
+        if room * ceiling / log_q <= best:
             break
-        rate = (1.0 - r * tau) * math.log(run_growth_rate(q, r)) / math.log(q)
+        rate = room * math.log(run_growth_rate(q, r)) / log_q
         if rate > best:
             best = rate
     return best
@@ -210,15 +237,14 @@ def degree_two_bound(q: int, tau: float) -> float:
     """Rate achievable on channels where each output has at most two
     candidate inputs: 1 - h(tau)*log_q(2), saturating past tau = 1/2.
     Needs q >= 3."""
-    if q < 3:
-        raise ValueError(f"need an alphabet of at least 3 symbols, got {q}")
+    q = check_at_least(q, 3, "alphabet size")
     _check_tau(tau)
     return 1.0 - binary_entropy(min(tau, 0.5)) / math.log2(q)
 
 
 def capacity_upper_bound(q: int, tau: float) -> float:
     """Upper bound on any feedback strategy's rate over the Z channel."""
-    _check_alphabet(q)
+    q = check_at_least(q, 2, "alphabet size")
     _check_tau(tau)
     a = min(tau, 1.0 / (q + 1))
     b = min(tau, 0.5)
@@ -262,7 +288,7 @@ def lower_envelope(q: int, tau: float) -> float:
     never tops them: for q >= 3 it is the tangent of the concave
     degree_two_bound at tau = 1/q, which stays flat past 1/2 where the line
     keeps falling, and for q = 2 it is 0."""
-    _check_alphabet(q)
+    q = check_at_least(q, 2, "alphabet size")
     _check_tau(tau)
     terms = [
         modified_rubber_bound(q, tau),

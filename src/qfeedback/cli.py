@@ -151,11 +151,15 @@ def _curve_functions(q: int) -> dict:
     return funcs
 
 
+# the finest curves grid, 10^6 + 1 taus: the taus are all built with the job
+_MIN_STEP = 1e-6
+
+
 def _curves_job(args):
     """Checked curves job; running it writes every bound curve as CSV, by curve then tau."""
     check_at_least(args.q, 2, "alphabet size")
-    if not 0.0 < args.step <= 0.5:
-        raise ValueError(f"grid step must lie in (0, 0.5], got {args.step}")
+    if not _MIN_STEP <= args.step <= 0.5:
+        raise ValueError(f"grid step must lie in [{_MIN_STEP:g}, 0.5], got {args.step}")
     taus = []
     i = 0
     while i * args.step <= 1.0 + 1e-9:

@@ -19,7 +19,9 @@ Both rubber schemes rest on one receiver rule, written once (_settle):
 when r rubber symbols complete a run, delete the run and bump the symbol
 it uncovers.  The receiver's parse (rubber_stack_parse) and both senders'
 stacks are settled by that rule alone, so a sender's stack is the
-receiver's parse of what has been delivered so far.
+receiver's parse of what has been delivered so far.  Which rubber, which
+bump and which fill belong to an error direction is written once too
+(_convention).
 
 All encoders are pure: the next symbol is a function of (message, received
 prefix) alone, which is what makes exhaustive game-tree search possible.
@@ -37,8 +39,8 @@ So a feed or an emit does no work in the block length: it compares one
 codeword symbol and settles the tail, which a repair keeps short.
 zero_error and identity hold the message digits, computed once per
 message.  The two rubber schemes also declare one key for the verifier's
-whole search (_search_key, which gives the soundness argument); each
-builder's docstring says where.
+whole search (_search_key, which gives the soundness argument), on their
+own channel only (_key_for).
 """
 
 from __future__ import annotations
@@ -46,9 +48,23 @@ from __future__ import annotations
 from typing import Any, Callable, NamedTuple, Optional, Sequence
 
 from ._checks import check_at_least
-from .channels import DirectionState, UnidirectionalChannel
+from .channels import DirectionState, UnidirectionalChannel, make_inverse_z_channel, make_z_channel
 from .codebook import RunConstraint, count, is_valid, rank, suffix_ids, unrank
 from .session import Channel, Sender, Strategy
+
+
+def _convention(q: int, direction: DirectionState) -> tuple[int, int, int]:
+    """(rubber, correction, fill) of the rubber scheme for errors in one
+    direction.  Downward errors use rubber q-1, repairs increment, and the
+    fill is 0, the one symbol that channel cannot touch; upward errors
+    mirror all three.  UNDECIDED, a clean prefix, takes the down one."""
+    if direction is DirectionState.POSITIVE:
+        return 0, -1, q - 1
+    return q - 1, +1, 0
+
+
+# each side of the modified rubber scheme: its error direction and its own channel
+_SIDES = {"z": (DirectionState.NEGATIVE, make_z_channel), "invz": (DirectionState.POSITIVE, make_inverse_z_channel)}
 
 
 def _settle(stack: list[int], rubber: int, correction: int, run_length: int) -> list[int]:
@@ -118,9 +134,9 @@ def _search_key(constraint: RunConstraint, k: int, n: int) -> Callable[[Any], in
     n + 1, so the packing is injective.  The suffix ids are computed once
     per message, at its first keyed node.
 
-    Soundness, where a builder declares the key: a search whose errors
-    each move a sent symbol one step against the repair, within the
-    alphabet, and whose budget is at most the scheme's t.  There rubber
+    Soundness, where _key_for declares the key: a search of the scheme's
+    own channel with a budget up to its t.  There every error moves a
+    sent symbol one step against the repair, within the alphabet, rubber
     arrives only as itself and the fill is never corrupted, so the tail
     never starts with rubber, no pop reaches below matched, and
     codeword[:matched] stays in the stack.  Each pop repairs one error,
@@ -153,6 +169,17 @@ def _search_key(constraint: RunConstraint, k: int, n: int) -> Callable[[Any], in
         return (code * (n + 1) + len(state.tail)) * 2 + (state.message == 0)
 
     return key
+
+
+def _key_for(own: Callable[[int], Channel], constraint: RunConstraint, k: int, n: int, t: int):
+    """A rubber scheme's key_for: the search-wide key (_search_key) on its
+    own channel, own(q), for a budget up to its t, and no key for any other
+    search, which walks with no table."""
+
+    def key_for(channel: Channel, budget: int) -> Optional[Callable[[Any], int]]:
+        return _search_key(constraint, k, n) if channel == own(constraint.q) and budget <= t else None
+
+    return key_for
 
 
 def _decode_word(constraint, word: Sequence[int]) -> int:
@@ -200,25 +227,20 @@ def modified_rubber_strategy(q: int, r: int, side: str, n: int, t: int) -> Strat
     (matched == k), the rubber symbol while a tail is pending (a repair),
     and the next codeword symbol otherwise.
 
-    Table key (key_for, see _search_key): declared for a budget up to t
-    on a channel whose every error moves a symbol the sender can send one
-    step against the repair (x to x-1 for "z"), within the alphabet, as
-    on the scheme's own channel.  Elsewhere the search walks with no
-    table: on sym, say, the adversary forges rubber and pops into the
-    matched prefix, and with a budget above t a final stack can fall
-    short of k.
+    Table key (_key_for): on the side's own channel (make_z_channel(q)
+    for "z") with a budget up to t.  Elsewhere a key would be unsound: on
+    sym, say, the adversary forges rubber and pops into the matched
+    prefix, and with a budget above t a final stack can fall short of k.
     """
     q = check_at_least(q, 2, "alphabet size")
     r = check_at_least(r, 1, "run length")
     t = check_at_least(t, 0, "error budget")
     n = check_at_least(n, r * t, "block length")
     k = n - r * t
-    if side == "z":
-        rubber, correction, fill = q - 1, +1, 0
-    elif side == "invz":
-        rubber, correction, fill = 0, -1, q - 1
-    else:
+    if side not in _SIDES:
         raise ValueError(f"side must be 'z' or 'invz', got {side!r}")
+    direction, own = _SIDES[side]
+    rubber, correction, fill = _convention(q, direction)
     constraint = RunConstraint(q, (rubber,), r)
     message_count = count(constraint, k)
 
@@ -242,17 +264,8 @@ def modified_rubber_strategy(q: int, r: int, side: str, n: int, t: int) -> Strat
         stack = rubber_stack_parse(received, rubber=rubber, correction=correction, run_length=r)
         return _decode_word(constraint, stack[:k])
 
-    def key_for(channel: Channel, budget: int) -> Optional[Callable[[RubberState], int]]:
-        symbols = set(channel.symbols)
-        one_step = all(
-            y in (x, x - correction) and 0 <= y < q
-            for x in range(q)
-            if x in symbols
-            for y in channel.outputs_for(x, DirectionState.UNDECIDED)
-        )
-        return _search_key(constraint, k, n) if one_step and budget <= t else None
-
     name = f"modified_rubber(q={q},r={r},side={side},n={n},t={t})"
+    key_for = _key_for(own, constraint, k, n, t)
     return Strategy(name, message_count, n, Sender(start, feed, emit, decode, key_for), decode)
 
 
@@ -329,18 +342,19 @@ def unidirectional_rubber_strategy(q: int, r: int, n: int, t: int) -> Strategy:
     reaching into the codeword.
 
     Error-free filler cycles through (1, then r-1 zeros), which no parse
-    mistakes for rubber.  On the first error the sender commits: downward
-    errors keep the Z-side automaton (rubber q-1, repairs increment),
-    upward errors switch to the inverse-Z automaton over the WHOLE received
-    prefix (rubber 0, repairs decrement) - the first repair's pops
-    decrement the corrupted symbol back in place, so nothing is ever
-    retransmitted and each error still costs exactly r positions.
+    mistakes for rubber.  On the first error the sender commits to that
+    error's convention (_convention): downward errors keep the Z-side one
+    (rubber q-1, repairs increment), upward errors switch to the
+    inverse-Z one over the WHOLE received prefix (rubber 0, repairs
+    decrement) - the first repair's pops decrement the corrupted symbol
+    back in place, so nothing is ever retransmitted and each error still
+    costs exactly r positions.
 
-    The final position is a flag: 0 means "parse under the Z convention"
-    (also the clean case), q-1 means "parse under the inverse-Z
-    convention".  Both flags are immune to their committed channel; a
-    clean block's flag 0 can only be corrupted to 1, which tells the
-    receiver the prefix is verbatim.
+    The final position is a flag, the committed convention's fill: 0
+    means "parse under the Z convention" (also the clean case), q-1 means
+    "parse under the inverse-Z convention".  Both flags are immune to
+    their committed channel; a clean block's flag 0 can only be corrupted
+    to 1, which tells the receiver the prefix is verbatim.
 
     The sender's phase is the channel's direction: UNDECIDED while clean,
     NEGATIVE or POSITIVE once committed.  Its stack is pushed from the
@@ -351,16 +365,13 @@ def unidirectional_rubber_strategy(q: int, r: int, n: int, t: int) -> Strategy:
     to itself, and pushing the first error onto it gives the committed
     parse of the whole received prefix.
 
-    Table key (key_for, see _search_key): declared for a budget up to t
-    on the unidirectional channel of this alphabet, where the sender and
-    the channel commit at the same error, the same way.  So the phase is
-    the table entry's direction and the position its depth, every
-    committed error is a one-step move against the committed repair, and
-    the flag is immune once committed; while clean, its one corruption
-    reads the clean prefix verbatim, which is the same parse.  On a
-    channel graph the sender commits where the channel does not, and the
-    flag may be corrupted into a parse the state does not hold, so the
-    search walks with no table.
+    Table key (_key_for): on UnidirectionalChannel(q) with a budget up
+    to t, where the sender and the channel commit at the same error, the
+    same way.  So the phase is the table entry's direction and the
+    position its depth, every committed error is a one-step move against
+    the committed repair, and the flag is immune once committed; while
+    clean, its one corruption reads the clean prefix verbatim, which is
+    the same parse.
     """
     q = check_at_least(q, 3, "alphabet size")
     r = check_at_least(r, 2, "run length")
@@ -369,12 +380,8 @@ def unidirectional_rubber_strategy(q: int, r: int, n: int, t: int) -> Strategy:
     k = n - r * t - 1
     constraint = RunConstraint(q, (0, q - 1), r)
     message_count = count(constraint, k)
-    # per phase: (rubber, correction, fill)
-    conventions = {
-        DirectionState.UNDECIDED: (q - 1, +1, 0),
-        DirectionState.NEGATIVE: (q - 1, +1, 0),
-        DirectionState.POSITIVE: (0, -1, q - 1),
-    }
+    conventions = {phase: _convention(q, phase) for phase in DirectionState}
+    down, up = conventions[DirectionState.NEGATIVE], conventions[DirectionState.POSITIVE]
 
     def start(m: int) -> UniState:
         return UniState(unrank(constraint, k, m), 0, DirectionState.UNDECIDED, 0, (), m)
@@ -382,7 +389,7 @@ def unidirectional_rubber_strategy(q: int, r: int, n: int, t: int) -> Strategy:
     def emit(state: UniState) -> int:
         w, i, phase, matched, tail, _ = state
         if i == n - 1:
-            return q - 1 if phase is DirectionState.POSITIVE else 0
+            return conventions[phase][2]
         if phase is DirectionState.UNDECIDED:
             # with no error so far, exactly i symbols stand delivered
             if i < k:
@@ -409,22 +416,17 @@ def unidirectional_rubber_strategy(q: int, r: int, n: int, t: int) -> Strategy:
     def decode(received: tuple[int, ...]) -> int:
         flag = received[-1]
         body = received[: n - 1]
-        if flag == q - 1:
-            stack = rubber_stack_parse(body, rubber=0, correction=-1, run_length=r)
-        elif flag == 1:
+        if flag == 1:
             stack = list(body)
         else:
-            # flag 0 is the clean and committed-down announcement; other
-            # values are unreachable and fall back to the same parse
-            stack = rubber_stack_parse(body, rubber=q - 1, correction=+1, run_length=r)
+            # the flag is the committed convention's fill; values no sender
+            # sends are unreachable and fall back to the down parse
+            rubber, correction, _ = up if flag == up[2] else down
+            stack = rubber_stack_parse(body, rubber=rubber, correction=correction, run_length=r)
         return _decode_word(constraint, stack[:k])
 
-    def key_for(channel: Channel, budget: int) -> Optional[Callable[[UniState], int]]:
-        if isinstance(channel, UnidirectionalChannel) and channel.q == q and budget <= t:
-            return _search_key(constraint, k, n)
-        return None
-
     name = f"unidirectional_rubber(q={q},r={r},n={n},t={t})"
+    key_for = _key_for(UnidirectionalChannel, constraint, k, n, t)
     return Strategy(name, message_count, n, Sender(start, feed, emit, decode, key_for), decode)
 
 

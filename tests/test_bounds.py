@@ -343,6 +343,21 @@ def test_rubber_bound_solves_few_roots_at_small_tau():
         assert run_growth_rate.cache_info().currsize <= most
 
 
+def test_rubber_bound_at_a_tau_where_one_minus_r_tau_rounds_to_one():
+    # there every rate is below the float 1 - r*tau, so no slack on it stops
+    # the search: 1e-17 ran ~1/tau run lengths, 1e-300 did not return, and
+    # a subnormal tau overflowed ceil(1/tau)
+    for q in (2, 3, 8, 1000):
+        for tau in (5e-324, 1e-310, 1e-300):
+            run_growth_rate.cache_clear()
+            assert 0.0 <= modified_rubber_bound(q, tau) <= 1.0
+            assert 0.0 <= lower_envelope(q, tau) <= 1.0
+            assert run_growth_rate.cache_info().currsize <= 50
+    # the values of the search with the 1e-14 slack, which still ended here
+    assert modified_rubber_bound(3, 1e-16) == 0.9999999999999885
+    assert modified_rubber_bound(3, 1e-17) == 0.9999999999999909
+
+
 def test_degree_two_bound_values():
     assert degree_two_bound(4, 0.0) == 1.0
     assert abs(degree_two_bound(4, 0.6) - 0.5) < 1e-12

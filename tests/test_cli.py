@@ -79,10 +79,8 @@ def test_curves_include_degree_two_for_larger_alphabets(tmp_path):
         assert abs(value - lower_envelope(5, tau)) < 1e-9
 
 
-@pytest.mark.parametrize("q", [2, 3, 4, 8])
-def test_curves_envelope_is_the_max_of_the_achievable_curves(tmp_path, q):
+def assert_envelope_is_the_max_of_the_achievable_curves(out, q):
     # rounding to .12g is monotone, so the printed max is the max printed
-    out = tmp_path / "curves.csv"
     assert main(["curves", "--q", str(q), "--step", "0.01", "--out", str(out)]) == 0
     by_tau = {}
     for tau, value, curve in read_csv(out):
@@ -93,9 +91,22 @@ def test_curves_envelope_is_the_max_of_the_achievable_curves(tmp_path, q):
         assert values["lower_envelope"] == max(values[c] for c in achievable)
 
 
+@pytest.mark.parametrize("q", [2, 3, 4, 8])
+def test_curves_envelope_is_the_max_of_the_achievable_curves(tmp_path, q):
+    assert_envelope_is_the_max_of_the_achievable_curves(tmp_path / "curves.csv", q)
+
+
 def test_curves_rejects_bad_step(tmp_path):
     out = tmp_path / "never.csv"
     assert main(["curves", "--q", "2", "--step", "0.7", "--out", str(out)]) == 1
+    assert not out.exists()
+
+
+def test_curves_rejects_a_step_below_the_grid_floor(tmp_path, capsys):
+    # every tau is built with the job: a step of 1e-9 would ask for 10^9
+    out = tmp_path / "never.csv"
+    assert main(["curves", "--q", "2", "--step", "9e-7", "--out", str(out)]) == 1
+    assert "error: grid step must lie in [1e-06, 0.5], got 9e-07" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -537,6 +548,7 @@ SESSION_IDENTITY = "kind = session\nstrategy = identity\nq = 2\nt = 1\nout = {d}
         pytest.param(SESSION_IDENTITY + "n = 3\nmessage = 1\nadversary = path:0,1", id="path-length"),
         pytest.param(SESSION_IDENTITY + "n = 2\nmessage = 4", id="message-range"),
         pytest.param("kind = curves\nq = 1\nout = {d}/b.csv", id="curves-q-1"),
+        pytest.param("kind = curves\nq = 3\nstep = 9e-7\nout = {d}/b.csv", id="curves-step-below-floor"),
         pytest.param("kind = zcap\nchannel = z\nq = 1\nout = {d}/b.json", id="zcap-q-1"),
     ],
 )

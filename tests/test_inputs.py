@@ -11,7 +11,14 @@ import argparse
 import pytest
 
 from qfeedback import cli
-from qfeedback.bounds import run_growth_rate, sphere_packing_message_bound
+from qfeedback.bounds import (
+    capacity_upper_bound,
+    degree_two_bound,
+    lower_envelope,
+    modified_rubber_bound,
+    run_growth_rate,
+    sphere_packing_message_bound,
+)
 from qfeedback.channels import (
     ChannelGraph,
     UnidirectionalChannel,
@@ -51,6 +58,11 @@ ENTRY_POINTS = [
     (count, {"constraint": CONSTRAINT, "length": 3}, {"length": "length"}),
     (unrank, {"constraint": CONSTRAINT, "length": 3, "idx": 1}, {"length": "length", "idx": "index"}),
     (run_growth_rate, {"q": 3, "r": 2}, {"q": "alphabet size", "r": "run length"}),
+    # at tau = 0, a whole float q gave a value and a string q a TypeError
+    (capacity_upper_bound, {"q": 3, "tau": 0.0}, {"q": "alphabet size"}),
+    (degree_two_bound, {"q": 3, "tau": 0.0}, {"q": "alphabet size"}),
+    (modified_rubber_bound, {"q": 3, "tau": 0.0}, {"q": "alphabet size"}),
+    (lower_envelope, {"q": 3, "tau": 0.0}, {"q": "alphabet size"}),
     (
         sphere_packing_message_bound,
         {"n": 4, "t": 1, "q": 3},

@@ -7,25 +7,34 @@ strategy keeps its decode and, with it, its table key.  Verifier-side
 faults make one textual substitution in the source of qfeedback/verifier.py
 and load the result as a fresh module; each substitution must match
 exactly once, so a refactor that moves the line fails here, naming the
-row to re-aim, instead of passing silently.  Beside the faults, controls
-run the same oracles on the unplanted copies and must pass.
+row to re-aim, instead of passing silently.  The bound fault replaces
+the lower_envelope the curves job calls.  Beside the faults, controls run
+the same oracles on the unplanted copies and must pass; a fault written
+out in the test (a feed) has a control written out the same way, with
+the fault taken out.
 """
 
 import importlib.util
 import itertools
+import math
 import sys
+import tempfile
 from dataclasses import replace
+from pathlib import Path
+from unittest import mock
 
 import pytest
 
-from qfeedback import verifier
+from qfeedback import cli, verifier
+from qfeedback.bounds import lower_envelope, modified_rubber_bound
 from qfeedback.channels import make_symmetric_channel, make_unidirectional_pair, make_z_channel
 from qfeedback.codebook import RunConstraint, suffix_ids
-from qfeedback.strategies import modified_rubber_strategy, unidirectional_rubber_strategy
+from qfeedback.strategies import _push, identity_strategy, modified_rubber_strategy, unidirectional_rubber_strategy
 from qfeedback.verifier import verify_successful
+from test_cli import assert_envelope_is_the_max_of_the_achievable_curves
 from test_strategies import STACK_CASES, assert_sender_stack_is_the_parse
 from test_verdict_oracle import oracle_verdict
-from test_verifier import assert_memo_matches_full_walk, whole_state_key
+from test_verifier import assert_memo_matches_full_walk, assert_node_budget_boundary_is_exact, whole_state_key
 
 _loaded = itertools.count()
 
@@ -97,8 +106,47 @@ def unnormalised(feed):
     return mutant
 
 
+def rubber_z_feed(correction):
+    """rubber_z's feed written out, pushing with the given correction
+    (rubber 2, run length 2)."""
+
+    def feed(state, y):
+        w, matched, tail = state.codeword, state.matched, state.tail
+        if tail or matched == len(w) or y != w[matched]:
+            matched, tail = _push(w, matched, tail, y, 2, correction, 2)
+        else:
+            matched += 1
+        return state._replace(matched=matched, tail=tail)
+
+    return feed
+
+
+def without_degree_two_below(cut):
+    """lower_envelope without its degree_two_bound term below tau = cut."""
+
+    def envelope(q, tau):
+        if tau < cut:
+            return max(modified_rubber_bound(q, tau), math.log((q + 1) // 2) / math.log(q))
+        return lower_envelope(q, tau)
+
+    return envelope
+
+
+def envelope_oracle(q, envelope=lower_envelope):
+    def check():
+        with tempfile.TemporaryDirectory() as tmp, mock.patch.object(cli, "lower_envelope", envelope):
+            assert_envelope_is_the_max_of_the_achievable_curves(Path(tmp) / "curves.csv", q)
+
+    return check
+
+
 def differential(strategy, channel, t, verify=verify_successful):
     return lambda: assert_memo_matches_full_walk(strategy, channel, t, verify)
+
+
+def cap_boundary(verify):
+    # unkeyed, so the node that reaches the cap is walked, not a table hit
+    return lambda: assert_node_budget_boundary_is_exact(identity_strategy(2, 3), make_z_channel(2), 0, verify)
 
 
 def verdict_oracle(strategy, channel, t):
@@ -120,6 +168,7 @@ def keyed_as_on(strategy, home):
 
 ENTRY = "entry = (key(state), depth, budget, direction)"
 CAP_CHECK = "if size is not None and nodes - 1 + size <= node_budget:"
+CAP = "if nodes > node_budget:"
 
 ROWS = {
     # the suffix rank alone names different suffixes alike
@@ -154,6 +203,14 @@ ROWS = {
         2,
         verifier_with(ENTRY, "entry = (key(state), depth, budget)"),
     ),
+    "node cap off by one": lambda: cap_boundary(verifier_with(CAP, "if nodes >= node_budget:")),
+    "rubber feed with the flipped correction, z": lambda: stack_oracle(
+        with_sender(rubber_z(), feed=rubber_z_feed(-1)), "rubber_z", make_z_channel(3), 2
+    ),
+    "rubber feed with the flipped correction, sym": lambda: stack_oracle(
+        with_sender(rubber_z(), feed=rubber_z_feed(-1)), "rubber_z", make_symmetric_channel(3), 2
+    ),
+    "lower_envelope without degree_two_bound below 0.2": lambda: envelope_oracle(8, without_degree_two_below(0.2)),
 }
 
 CONTROLS = {
@@ -171,6 +228,14 @@ CONTROLS = {
     "the verifier copied unchanged, unirubber": lambda: differential(
         unidirectional_rubber_strategy(3, 2, 8, 2), make_unidirectional_pair(3), 2, verifier_with()
     ),
+    "the verifier copied unchanged, node cap": lambda: cap_boundary(verifier_with()),
+    "rubber feed written out with its own correction, z": lambda: stack_oracle(
+        with_sender(rubber_z(), feed=rubber_z_feed(+1)), "rubber_z", make_z_channel(3), 2
+    ),
+    "rubber feed written out with its own correction, sym": lambda: stack_oracle(
+        with_sender(rubber_z(), feed=rubber_z_feed(+1)), "rubber_z", make_symmetric_channel(3), 2
+    ),
+    "the envelope test on lower_envelope": lambda: envelope_oracle(8),
 }
 
 

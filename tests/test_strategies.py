@@ -36,6 +36,7 @@ from qfeedback.strategies import (
     unidirectional_rubber_strategy,
     zero_error_unidirectional_strategy,
 )
+from qfeedback.verifier import verify_successful
 
 PHI = (1 + math.sqrt(5)) / 2
 
@@ -391,6 +392,16 @@ def test_every_builder_holds_its_declaration(builder, q, n, t):
     for other in channels:
         if other is not KEYED_ON[builder]:
             assert sender.key_for(other(q), t) is None, other.__name__
+
+
+def test_a_larger_alphabet_of_the_own_side_is_another_channel():
+    # the key is declared on the scheme's own channel alone: z of a larger
+    # alphabet moves every symbol the sender sends as its own z does, yet
+    # gets no key, and its search without a table reaches the same verdict
+    strategy = modified_rubber_strategy(3, 2, "z", 6, 1)
+    assert strategy.encode_step.key_for(make_z_channel(3), 1) is not None
+    assert strategy.encode_step.key_for(make_z_channel(4), 1) is None
+    assert verify_successful(strategy, make_z_channel(4), 1) == verify_successful(strategy, make_z_channel(3), 1)
 
 
 @pytest.mark.parametrize("builder", BUILDERS)

@@ -142,13 +142,19 @@ def test_bool_and_numpy_integers_are_integers(monkeypatch):
         assert all(type(c) is int for c in counts)
 
 
-def test_node_budget_boundary_is_exact():
-    s = modified_rubber_strategy(2, 2, "z", 6, 1)
-    ch = make_z_channel(2)
-    tree = verify_successful(s, ch, 1).nodes
-    assert verify_successful(s, ch, 1, node_budget=tree).outcome == "success"
-    cut = verify_successful(s, ch, 1, node_budget=tree - 1)
+def assert_node_budget_boundary_is_exact(strategy, channel, t, verify=verify_successful):
+    """A cap of the whole tree's node count certifies; one node less is
+    inconclusive, at the node that crosses it."""
+    tree = verify(strategy, channel, t).nodes
+    assert verify(strategy, channel, t, node_budget=tree).outcome == "success"
+    cut = verify(strategy, channel, t, node_budget=tree - 1)
     assert (cut.outcome, cut.nodes) == ("inconclusive", tree)
+
+
+def test_node_budget_boundary_is_exact():
+    # keyed, the last node is a table hit; unkeyed, the last node is a leaf
+    assert_node_budget_boundary_is_exact(modified_rubber_strategy(2, 2, "z", 6, 1), make_z_channel(2), 1)
+    assert_node_budget_boundary_is_exact(identity_strategy(2, 3), make_z_channel(2), 0)
 
 
 BAD_SYMBOL_STRATEGY = Strategy("bad", 1, 2, lambda m, y: 7, lambda y: 0)
