@@ -162,6 +162,13 @@ def run_growth_rate(q: int, r: int) -> float:
     bracket, since g(lo) <= 0 < g(hi) holds throughout, so a search the
     width test ends never reaches it, and the root is the same float
     either way.
+
+    The bisection asks only for g's sign, so the float recurrence
+    acc*x - (q-1) stops once acc <= 0: for x > 0, acc*x then rounds to a
+    nonpositive float, and subtracting the positive q - 1 keeps it
+    negative (rounding is monotone), so every later step, the last one
+    included, stays negative.  Each test then costs a few steps below the
+    root instead of r, and every root is the full loop's float.
     """
     check_at_least(q, 2, "alphabet size")
     check_at_least(r, 1, "run length")
@@ -172,6 +179,8 @@ def run_growth_rate(q: int, r: int) -> float:
         acc = 1.0
         for _ in range(r):
             acc = acc * x - (q - 1)
+            if acc <= 0.0:
+                break
         return acc
 
     return _bisect(q, lambda x: deflated(x) > 0.0)
@@ -287,13 +296,7 @@ def lower_envelope(q: int, tau: float) -> float:
     two-candidate bound.  The one-symbol rubber rate (1-tau)*log_q(q-1)
     never tops them: for q >= 3 it is the tangent of the concave
     degree_two_bound at tau = 1/q, which stays flat past 1/2 where the line
-    keeps falling, and for q = 2 it is 0."""
-    q = check_at_least(q, 2, "alphabet size")
-    _check_tau(tau)
-    terms = [
-        modified_rubber_bound(q, tau),
-        math.log((q + 1) // 2) / math.log(q),
-    ]
-    if q >= 3:
-        terms.append(degree_two_bound(q, tau))
-    return max(terms)
+    keeps falling, and for q = 2 it is 0.  modified_rubber_bound, called
+    first, checks q and tau."""
+    rate = max(modified_rubber_bound(q, tau), math.log((q + 1) // 2) / math.log(q))
+    return max(rate, degree_two_bound(q, tau)) if q >= 3 else rate

@@ -19,6 +19,7 @@ import argparse
 import configparser
 import contextlib
 import io
+import itertools
 import json
 import math
 import os
@@ -88,15 +89,16 @@ class _SectionParser(_Parser):
         raise ValueError(f"missing, unknown or malformed key: {message}")
 
 
-def _write_text(path: str, text: str) -> None:
-    """Write atomically: a temp file beside the target, then os.replace."""
+def _write_text(path: str, chunks) -> None:
+    """Write an iterable of text chunks atomically: a temp file beside the
+    target, then os.replace; a chunk that fails to arrive leaves no file."""
     parent = os.path.dirname(path)
     if parent:
         os.makedirs(parent, exist_ok=True)
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
         with open(tmp, "w", encoding="utf-8") as handle:
-            handle.write(text)
+            handle.writelines(chunks)
         os.replace(tmp, path)
     finally:
         if os.path.exists(tmp):
@@ -151,29 +153,28 @@ def _curve_functions(q: int) -> dict:
     return funcs
 
 
-# the finest curves grid, 10^6 + 1 taus: the taus are all built with the job
+# the finest curves grid: it bounds a job's size and its CSV's, about 10^6 rows per curve
 _MIN_STEP = 1e-6
 
 
 def _curves_job(args):
-    """Checked curves job; running it writes every bound curve as CSV, by curve then tau."""
+    """Checked curves job; running it writes the bound curves as CSV, one curve's rows at a time."""
     check_at_least(args.q, 2, "alphabet size")
     if not _MIN_STEP <= args.step <= 0.5:
         raise ValueError(f"grid step must lie in [{_MIN_STEP:g}, 0.5], got {args.step}")
-    taus = []
-    i = 0
-    while i * args.step <= 1.0 + 1e-9:
-        taus.append(min(i * args.step, 1.0))
-        i += 1
 
     def run() -> int:
+        taus = []
+        i = 0
+        while i * args.step <= 1.0 + 1e-9:
+            taus.append(min(i * args.step, 1.0))
+            i += 1
         funcs = _curve_functions(args.q)
-        lines = ["tau,value,curve"]
-        for curve in sorted(funcs):
-            evaluate = funcs[curve]
-            for tau in taus:
-                lines.append(f"{tau:.12g},{evaluate(tau):.12g},{curve}")
-        _write_text(args.out, "\n".join(lines) + "\n")
+        curves = (
+            "".join([f"{tau:.12g},{evaluate(tau):.12g},{curve}\n" for tau in taus])
+            for curve, evaluate in sorted(funcs.items())
+        )
+        _write_text(args.out, itertools.chain(["tau,value,curve\n"], curves))
         return 0
 
     return run
@@ -203,8 +204,8 @@ def _verify_job(args):
             "t": args.t,
             **verdict.to_json_dict(),
         }
-        _write_text(args.out, _dump_json(report))
-        _write_text(args.out + ".log", f"wall_time_ms={elapsed_ms}\n")
+        _write_text(args.out, [_dump_json(report)])
+        _write_text(args.out + ".log", [f"wall_time_ms={elapsed_ms}\n"])
         return _OUTCOME_EXIT[verdict.outcome]
 
     return run
@@ -314,7 +315,7 @@ def _campaign_job(args):
             with contextlib.redirect_stdout(io.StringIO()) as printed:
                 codes.append(job())
             if out is not None:
-                _write_text(out, printed.getvalue())
+                _write_text(out, [printed.getvalue()])
         # a counterexample outranks an inconclusive search
         return next((code for code in (2, 3) if code in codes), 0)
 

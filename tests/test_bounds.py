@@ -5,9 +5,12 @@ program by brute force in exact rationals, so it shares no code path with
 the simplex implementation under test.  The rational-arithmetic simplex,
 the unbounded run-length search and the search stopped at the wider 1e-9
 slack are kept here as references for the integer simplex and the
-early-stopping search.
+early-stopping search, and the growth-rate bisection that runs the whole
+recurrence at every midpoint as the reference for the one that stops at
+the first nonpositive step.
 """
 
+import functools
 import itertools
 import math
 import random
@@ -259,6 +262,43 @@ def test_growth_rate_ends_where_floats_are_coarser_than_the_stop_width(q):
     # the bisection once looped forever on a one-float bracket
     for r in (2, 3):
         assert q - 1 < run_growth_rate(q, r) <= q
+
+
+@functools.lru_cache(maxsize=None)
+def full_loop_growth_rate(q, r):
+    """The largest root as first written: at every midpoint the whole
+    recurrence runs, and only its last value's sign is read."""
+    if r == 1:
+        return float(q - 1)
+    lo, hi = float(q - 1), float(q)
+    while hi - lo > 1e-13:
+        mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            break
+        acc = 1.0
+        for _ in range(r):
+            acc = acc * mid - (q - 1)
+        if acc > 0.0:
+            hi = mid
+        else:
+            lo = mid
+    return 0.5 * (lo + hi)
+
+
+FULL_LOOP_GRID = (
+    [(q, r) for q in range(2, 10) for r in range(1, 151)]
+    + [(q, r) for q in (513, 1024) for r in (2, 3)]
+    + [(2, 1000), (3, 2000), (100, 500)]
+)
+
+
+def assert_growth_rate_is_the_full_loop_root(growth_rate):
+    for q, r in FULL_LOOP_GRID:
+        assert growth_rate(q, r) == full_loop_growth_rate(q, r), (q, r)
+
+
+def test_growth_rate_stopping_at_the_sign_is_the_full_loop_root():
+    assert_growth_rate_is_the_full_loop_root(run_growth_rate)
 
 
 def test_growth_rate_validation():

@@ -4,17 +4,20 @@ Most tests drive main() in process; subprocess tests cover the module
 entry point itself and reports across hash seeds.
 """
 
+import argparse
 import hashlib
 import json
 import math
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
 import qfeedback
-from qfeedback.bounds import lower_envelope, min_max_output_mass
+from qfeedback import cli
+from qfeedback.bounds import capacity_upper_bound, lower_envelope, min_max_output_mass
 from qfeedback.channels import make_z_channel
 from qfeedback.cli import main
 
@@ -103,7 +106,7 @@ def test_curves_rejects_bad_step(tmp_path):
 
 
 def test_curves_rejects_a_step_below_the_grid_floor(tmp_path, capsys):
-    # every tau is built with the job: a step of 1e-9 would ask for 10^9
+    # the floor bounds a job's size: a step of 1e-9 would ask for 10^9 rows per curve
     out = tmp_path / "never.csv"
     assert main(["curves", "--q", "2", "--step", "9e-7", "--out", str(out)]) == 1
     assert "error: grid step must lie in [1e-06, 0.5], got 9e-07" in capsys.readouterr().err
@@ -115,6 +118,49 @@ def test_curves_rejects_alphabet_below_two(tmp_path, capsys):
     assert main(["curves", "--q", "1", "--out", str(out)]) == 1
     assert not out.exists()
     assert "alphabet size" in capsys.readouterr().err
+
+
+def test_a_curves_run_holds_one_curve_at_a_time(tmp_path):
+    # the whole CSV as one list of lines and its join peaked at 8.0 MB
+    tracemalloc.start()
+    try:
+        assert main(["curves", "--q", "8", "--step", "0.0001", "--out", str(tmp_path / "c.csv")]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3_000_000
+
+
+def test_a_built_curves_job_holds_no_grid():
+    # every tau built as a float with the job held 32.4 MB at the floor
+    tracemalloc.start()
+    try:
+        job = cli._curves_job(argparse.Namespace(q=8, step=1e-6, out="never.csv"))
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert callable(job)
+    assert held < 1_000_000
+
+
+def test_a_curve_failing_mid_stream_leaves_no_file(tmp_path, monkeypatch, capsys):
+    # upper sorts after degree_two, lower_envelope and modified_rubber, so
+    # three curves are in the temp file when it fails
+    def upper(q, tau):
+        if tau > 0.5:
+            assert [p.stat().st_size > 0 for p in tmp_path.glob("c.csv.*.tmp")] == [True]
+            raise ValueError("upper bound failed")
+        return capacity_upper_bound(q, tau)
+
+    monkeypatch.setattr(cli, "capacity_upper_bound", upper)
+    out = tmp_path / "c.csv"
+    assert main(["curves", "--q", "3", "--step", "0.001", "--out", str(out)]) == 1
+    assert "upper bound failed" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == []
+    out.write_text("kept\n")
+    assert main(["curves", "--q", "3", "--step", "0.001", "--out", str(out)]) == 1
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["c.csv"]
+    assert out.read_text() == "kept\n"
 
 
 def test_writes_leave_no_temp_files(tmp_path):

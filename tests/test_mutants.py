@@ -4,14 +4,14 @@ A row names a fault, builds it, and runs the oracle that must catch it;
 the row passes only if that oracle raises AssertionError.  Strategy-side
 faults replace one field of a built-in Sender (Sender._replace), so the
 strategy keeps its decode and, with it, its table key.  Verifier-side
-faults make one textual substitution in the source of qfeedback/verifier.py
-and load the result as a fresh module; each substitution must match
-exactly once, so a refactor that moves the line fails here, naming the
-row to re-aim, instead of passing silently.  The bound fault replaces
-the lower_envelope the curves job calls.  Beside the faults, controls run
-the same oracles on the unplanted copies and must pass; a fault written
-out in the test (a feed) has a control written out the same way, with
-the fault taken out.
+faults, and the growth-rate fault, make one textual substitution in the
+source of qfeedback/verifier.py or qfeedback/bounds.py and load the result
+as a fresh module; each substitution must match exactly once, so a
+refactor that moves the line fails here, naming the row to re-aim, instead
+of passing silently.  The envelope fault replaces the lower_envelope the
+curves job calls.  Beside the faults, controls run the same oracles on the
+unplanted copies and must pass; a fault written out in the test (a feed)
+has a control written out the same way, with the fault taken out.
 """
 
 import importlib.util
@@ -25,12 +25,13 @@ from unittest import mock
 
 import pytest
 
-from qfeedback import cli, verifier
+from qfeedback import bounds, cli, verifier
 from qfeedback.bounds import lower_envelope, modified_rubber_bound
 from qfeedback.channels import make_symmetric_channel, make_unidirectional_pair, make_z_channel
 from qfeedback.codebook import RunConstraint, suffix_ids
 from qfeedback.strategies import _push, identity_strategy, modified_rubber_strategy, unidirectional_rubber_strategy
 from qfeedback.verifier import verify_successful
+from test_bounds import assert_growth_rate_is_the_full_loop_root
 from test_cli import assert_envelope_is_the_max_of_the_achievable_curves
 from test_strategies import STACK_CASES, assert_sender_stack_is_the_parse
 from test_verdict_oracle import oracle_verdict
@@ -39,25 +40,37 @@ from test_verifier import assert_memo_matches_full_walk, assert_node_budget_boun
 _loaded = itertools.count()
 
 
-def verifier_with(old=None, new=None):
-    """verify_successful from a copy of verifier.py with old replaced by new."""
-    with open(verifier.__file__, encoding="utf-8") as handle:
+def copy_with(original, old=None, new=None):
+    """A fresh copy of a qfeedback module, its source with old replaced by new."""
+    with open(original.__file__, encoding="utf-8") as handle:
         source = handle.read()
     if old is not None:
         assert source.count(old) == 1, f"re-aim this mutant: {old!r} no longer matches exactly once"
         source = source.replace(old, new)
-    name = f"qfeedback._verifier_copy{next(_loaded)}"
+    name = f"qfeedback._copy{next(_loaded)}"
     module = importlib.util.module_from_spec(importlib.util.spec_from_loader(name, loader=None))
     module.__package__ = "qfeedback"
     # dataclasses look the defining module up while the source runs
     sys.modules[name] = module
     try:
-        exec(compile(source, verifier.__file__, "exec"), module.__dict__)
+        exec(compile(source, original.__file__, "exec"), module.__dict__)
     finally:
         del sys.modules[name]
+    return module
+
+
+def verifier_with(old=None, new=None):
+    """verify_successful from a copy of verifier.py with old replaced by new."""
+    module = copy_with(verifier, old, new)
     # verdicts compare equal only within one class
     module.Verdict = verifier.Verdict
     return module.verify_successful
+
+
+def growth_rate_oracle(old=None, new=None):
+    """The full-loop reference run on run_growth_rate from a copy of bounds.py."""
+    growth_rate = copy_with(bounds, old, new).run_growth_rate
+    return lambda: assert_growth_rate_is_the_full_loop_root(growth_rate)
 
 
 def with_sender(strategy, **fields):
@@ -106,14 +119,14 @@ def unnormalised(feed):
     return mutant
 
 
-def rubber_z_feed(correction):
-    """rubber_z's feed written out, pushing with the given correction
-    (rubber 2, run length 2)."""
+def rubber_z_feed(rubber, correction):
+    """rubber_z's feed written out, pushing with the given rubber and
+    correction (run length 2); its own are rubber 2 and correction +1."""
 
     def feed(state, y):
         w, matched, tail = state.codeword, state.matched, state.tail
         if tail or matched == len(w) or y != w[matched]:
-            matched, tail = _push(w, matched, tail, y, 2, correction, 2)
+            matched, tail = _push(w, matched, tail, y, rubber, correction, 2)
         else:
             matched += 1
         return state._replace(matched=matched, tail=tail)
@@ -169,6 +182,7 @@ def keyed_as_on(strategy, home):
 ENTRY = "entry = (key(state), depth, budget, direction)"
 CAP_CHECK = "if size is not None and nodes - 1 + size <= node_budget:"
 CAP = "if nodes > node_budget:"
+SIGN_STOP = "if acc <= 0.0:"
 
 ROWS = {
     # the suffix rank alone names different suffixes alike
@@ -205,11 +219,20 @@ ROWS = {
     ),
     "node cap off by one": lambda: cap_boundary(verifier_with(CAP, "if nodes >= node_budget:")),
     "rubber feed with the flipped correction, z": lambda: stack_oracle(
-        with_sender(rubber_z(), feed=rubber_z_feed(-1)), "rubber_z", make_z_channel(3), 2
+        with_sender(rubber_z(), feed=rubber_z_feed(2, -1)), "rubber_z", make_z_channel(3), 2
     ),
     "rubber feed with the flipped correction, sym": lambda: stack_oracle(
-        with_sender(rubber_z(), feed=rubber_z_feed(-1)), "rubber_z", make_symmetric_channel(3), 2
+        with_sender(rubber_z(), feed=rubber_z_feed(2, -1)), "rubber_z", make_symmetric_channel(3), 2
     ),
+    # side z pushing as side invz would
+    "rubber feed under the inverse-Z convention, z": lambda: stack_oracle(
+        with_sender(rubber_z(), feed=rubber_z_feed(0, -1)), "rubber_z", make_z_channel(3), 2
+    ),
+    "rubber feed under the inverse-Z convention, sym": lambda: stack_oracle(
+        with_sender(rubber_z(), feed=rubber_z_feed(0, -1)), "rubber_z", make_symmetric_channel(3), 2
+    ),
+    # a positive accumulator below 1 can still turn negative
+    "growth-rate sign read before it is known": lambda: growth_rate_oracle(SIGN_STOP, "if acc < 1.0:"),
     "lower_envelope without degree_two_bound below 0.2": lambda: envelope_oracle(8, without_degree_two_below(0.2)),
 }
 
@@ -230,11 +253,12 @@ CONTROLS = {
     ),
     "the verifier copied unchanged, node cap": lambda: cap_boundary(verifier_with()),
     "rubber feed written out with its own correction, z": lambda: stack_oracle(
-        with_sender(rubber_z(), feed=rubber_z_feed(+1)), "rubber_z", make_z_channel(3), 2
+        with_sender(rubber_z(), feed=rubber_z_feed(2, +1)), "rubber_z", make_z_channel(3), 2
     ),
     "rubber feed written out with its own correction, sym": lambda: stack_oracle(
-        with_sender(rubber_z(), feed=rubber_z_feed(+1)), "rubber_z", make_symmetric_channel(3), 2
+        with_sender(rubber_z(), feed=rubber_z_feed(2, +1)), "rubber_z", make_symmetric_channel(3), 2
     ),
+    "bounds copied unchanged, growth rate": lambda: growth_rate_oracle(),
     "the envelope test on lower_envelope": lambda: envelope_oracle(8),
 }
 
