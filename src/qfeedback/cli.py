@@ -91,18 +91,31 @@ class _SectionParser(_Parser):
 
 def _write_text(path: str, chunks) -> None:
     """Write an iterable of text chunks atomically: a temp file beside the
-    target, then os.replace; a chunk that fails to arrive leaves no file."""
+    target, then os.replace; a chunk that fails to arrive leaves no file,
+    and no directory that this call made."""
+    # the target's missing parent directories, deepest first
+    made = []
     parent = os.path.dirname(path)
-    if parent:
-        os.makedirs(parent, exist_ok=True)
+    while parent and not os.path.isdir(parent):
+        made.append(parent)
+        parent = os.path.dirname(parent)
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
+        if made:
+            os.makedirs(made[0], exist_ok=True)
         with open(tmp, "w", encoding="utf-8") as handle:
             handle.writelines(chunks)
         os.replace(tmp, path)
-    finally:
+    except BaseException:
         if os.path.exists(tmp):
             os.remove(tmp)
+        for directory in made:
+            try:
+                os.rmdir(directory)
+            except OSError:
+                # not empty, so neither is any directory above it
+                break
+        raise
 
 
 def _dump_json(data) -> str:

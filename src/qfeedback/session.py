@@ -10,7 +10,7 @@ between sessions, so any prefix can be replayed exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Hashable, NamedTuple, Optional, Protocol, Sequence, Union
+from typing import Any, Callable, NamedTuple, Optional, Protocol, Sequence, Union
 
 from ._checks import check_at_least, check_integer
 from .channels import ChannelGraph, DirectionState, UnidirectionalChannel
@@ -32,22 +32,24 @@ class Sender(NamedTuple):
     key_for, when not None, turns on the verifier's transposition table:
     key_for(channel, t) returns a key function for the search of that
     channel with error budget t, or None where the strategy vouches for
-    no key there.  The key function maps a state to a hashable summary,
-    and one table serves the whole search, so a key that names no message
-    lets a subtree proven for one message serve another.  Soundness: two
-    nodes of the search, of any messages, whose keys are equal at the same
-    depth, budget left and channel direction must root subtrees with the
-    same node count, every leaf of one decoding to its message exactly
-    where every leaf of the other does, so that one proof of safety, and
-    one node count, serves both.  A key is sound only beside the decode it
-    was declared for, which is why a Sender holds decode.
+    no key there.  The key function maps a state to an int, which the
+    verifier packs with the depth, the budget left and the direction into
+    one int table entry.  One table serves the whole search, so a key that
+    names no message lets a subtree proven for one message serve another.
+    Soundness: two nodes of the search, of any messages, whose keys are
+    equal at the same depth, budget left and channel direction must root
+    subtrees with the same node count, every leaf of one decoding to its
+    message exactly where every leaf of the other does, so that one proof
+    of safety, and one node count, serves both.  A key is sound only
+    beside the decode it was declared for, which is why a Sender holds
+    decode.
     """
 
     start: Callable[[int], Any]
     feed: Callable[[Any, int], Any]
     emit: Callable[[Any], int]
     decode: Callable[[tuple[int, ...]], int]
-    key_for: Optional[Callable[[Channel, int], Optional[Callable[[Any], Hashable]]]] = None
+    key_for: Optional[Callable[[Channel, int], Optional[Callable[[Any], int]]]] = None
 
     def __call__(self, message: int, received_prefix: tuple[int, ...]) -> int:
         state = self.start(message)

@@ -38,9 +38,10 @@ the channel's DirectionState, its stack pushed from the first symbol on.
 So a feed or an emit does no work in the block length: it compares one
 codeword symbol and settles the tail, which a repair keeps short.
 zero_error and identity hold the message digits, computed once per
-message.  The two rubber schemes also declare one key for the verifier's
-whole search (_search_key, which gives the soundness argument), on their
-own channel only (_key_for).
+message.  The two rubber schemes and zero_error also declare one key for
+the verifier's whole search, on their own channel only (_key_for);
+_search_key gives the rubber schemes' soundness argument, and
+zero_error's docstring its own.
 """
 
 from __future__ import annotations
@@ -171,13 +172,13 @@ def _search_key(constraint: RunConstraint, k: int, n: int) -> Callable[[Any], in
     return key
 
 
-def _key_for(own: Callable[[int], Channel], constraint: RunConstraint, k: int, n: int, t: int):
-    """A rubber scheme's key_for: the search-wide key (_search_key) on its
-    own channel, own(q), for a budget up to its t, and no key for any other
+def _key_for(own: Callable[[int], Channel], q: int, t: int, key: Callable[[], Callable[[Any], int]]):
+    """A scheme's key_for: a search-wide key, from key(), on its own
+    channel, own(q), for a budget up to its t, and no key for any other
     search, which walks with no table."""
 
     def key_for(channel: Channel, budget: int) -> Optional[Callable[[Any], int]]:
-        return _search_key(constraint, k, n) if channel == own(constraint.q) and budget <= t else None
+        return key() if channel == own(q) and budget <= t else None
 
     return key_for
 
@@ -265,7 +266,7 @@ def modified_rubber_strategy(q: int, r: int, side: str, n: int, t: int) -> Strat
         return _decode_word(constraint, stack[:k])
 
     name = f"modified_rubber(q={q},r={r},side={side},n={n},t={t})"
-    key_for = _key_for(own, constraint, k, n, t)
+    key_for = _key_for(own, q, t, lambda: _search_key(constraint, k, n))
     return Strategy(name, message_count, n, Sender(start, feed, emit, decode, key_for), decode)
 
 
@@ -282,7 +283,22 @@ def zero_error_unidirectional_strategy(q: int, n: int) -> Strategy:
     clean anyway.
 
     Sender state: (digits, position, upward error seen), the digits
-    computed once per message.  No table key.
+    computed once per message.
+
+    Table key (_key_for): on UnidirectionalChannel(q), for every budget
+    up to n, the unread digits word[i:] as one base-(q+1)//2 integer, so
+    no message is named; the depth i fixes how many digits there are.
+    Soundness: on that channel the sender sees an upward error exactly
+    when the channel commits POSITIVE, so the entry's direction fixes the
+    flag the sender will send, and with it how every received prefix
+    symbol rounds.  An UNDECIDED prefix is clean: every symbol is the even
+    one sent.  On NEGATIVE the flag is 0, which the channel cannot lower,
+    so decode rounds a received 2w-1 up to 2w; on POSITIVE the flag is
+    q-1, which it cannot raise, so decode rounds 2w+1 down to 2w.  Either
+    way every received prefix symbol decodes to its own digit, and the
+    inputs below a node, its children and whether each leaf decodes right
+    depend only on the unread digits, the depth, the budget left and the
+    direction.
     """
     q = check_at_least(q, 2, "alphabet size")
     n = check_at_least(n, 1, "block length")
@@ -312,8 +328,16 @@ def zero_error_unidirectional_strategy(q: int, n: int) -> Strategy:
             return 2 * word[i]
         return q - 1 if up else 0
 
+    def key(state: tuple[tuple[int, ...], int, bool]) -> int:
+        word, i, _ = state
+        code = 0
+        for digit in word[i:]:
+            code = code * base + digit
+        return code
+
     name = f"zero_error_unidirectional(q={q},n={n})"
-    return Strategy(name, message_count, n, Sender(start, feed, emit, decode), decode)
+    key_for = _key_for(UnidirectionalChannel, q, n, lambda: key)
+    return Strategy(name, message_count, n, Sender(start, feed, emit, decode, key_for), decode)
 
 
 class UniState(NamedTuple):
@@ -426,7 +450,7 @@ def unidirectional_rubber_strategy(q: int, r: int, n: int, t: int) -> Strategy:
         return _decode_word(constraint, stack[:k])
 
     name = f"unidirectional_rubber(q={q},r={r},n={n},t={t})"
-    key_for = _key_for(UnidirectionalChannel, constraint, k, n, t)
+    key_for = _key_for(UnidirectionalChannel, q, t, lambda: _search_key(constraint, k, n))
     return Strategy(name, message_count, n, Sender(start, feed, emit, decode, key_for), decode)
 
 

@@ -25,17 +25,24 @@ outside the channel's symbols is rejected when its entry is built.
 The walk keeps a transposition table, on by default, one for the whole
 search.  When the Sender declares a key for the search
 (key_for(channel, t); each declaring strategy's docstring says where and
-why its key is sound), every subtree proven safe is stored under (sender
-key, depth, budget left, direction) with its node count.  A key need not
-name the message, so a subtree proven for one message can serve every
-later one.  A later node with the same entry adds that count to the node
-total instead of walking the subtree again, unless the count would cross
-the node cap, in which case the subtree is walked.  So the node count
-still counts the whole tree, and every Verdict field (outcome,
-counterexample, nodes) equals the plain walk's.  The table is off when
-the Sender declares no key for the search, when decode is not the
-Sender's own, when the adapter runs, and when an on_transcript callback
-is given, since the callback must see every leaf.
+why its key is sound), every subtree proven safe is stored under one
+integer entry with its node count: the sender key, an int, packed with
+the depth, the budget left and the direction as
+((key * (n + 1) + depth) * (t + 1) + budget) * 3 + direction code.
+Depth is at most n, budget at most t and the code below 3, so distinct
+(key, depth, budget, direction) get distinct entries, whatever the
+sign or size of the key.  A key need not name the message, so a subtree
+proven for one message can serve every later one.  A later node with
+the same entry adds that count to the node total instead of walking the
+subtree again, unless the count would cross the node cap, in which case
+the subtree is walked.  The table stores at most TABLE_LIMIT entries;
+once that many subtrees are stored, new ones are walked and not stored,
+while hits on stored ones still count.  So the node count still counts
+the whole tree, and every Verdict field (outcome, counterexample, nodes)
+equals the plain walk's, whatever the limit.  The table is off when the
+Sender declares no key for the search, when decode is not the Sender's
+own, when the adapter runs, and when an on_transcript callback is given,
+since the callback must see every leaf.
 """
 
 from __future__ import annotations
@@ -56,6 +63,15 @@ from .session import (
 )
 
 DEFAULT_NODE_BUDGET = 10_000_000
+
+# the most entries one search's table stores.  An entry costs 68-95 bytes
+# on the rubber searches (its int, its node count and its dict slot) and
+# about 110 in a dict of 500,000 entries with keys above 2**31, so a full
+# table stays near 0.4 GB, whatever the node cap
+TABLE_LIMIT = 4_000_000
+
+# each direction's code in a table entry
+_DIRECTION_CODE = {DirectionState.UNDECIDED: 0, DirectionState.NEGATIVE: 1, DirectionState.POSITIVE: 2}
 
 
 def check_node_budget(node_budget: int) -> int:
@@ -122,8 +138,11 @@ def verify_successful(
     sender = sender_of(strategy)
     feed, emit = sender.feed, sender.emit
     key = sender.key_for(channel, t) if sender.key_for is not None and on_transcript is None else None
-    # (sender key, depth, budget left, direction) -> node count of a subtree proven safe
+    code = _DIRECTION_CODE
+    # packed (sender key, depth, budget left, direction) -> node count of a subtree proven safe
     memo: dict = {}
+    # how many more subtrees the table may store
+    room = TABLE_LIMIT
     # (input, budget left, direction) -> that node's children
     children_of: dict = {}
     nodes = 0
@@ -158,12 +177,14 @@ def verify_successful(
                     return Verdict("counterexample", m, tuple(sent), word, decoded, nodes)
                 continue
             if key is not None:
-                entry = (key(state), depth, budget, direction)
+                entry = ((key(state) * (n + 1) + depth) * (t + 1) + budget) * 3 + code[direction]
                 size = memo.get(entry)
                 if size is not None and nodes - 1 + size <= node_budget:
                     nodes += size - 1
                     continue
-                stack.append((-1, entry, nodes - 1, None, None))
+                if room:
+                    room -= 1
+                    stack.append((-1, entry, nodes - 1, None, None))
             x = emit(state)
             children = children_of.get((x, budget, direction))
             if children is None:

@@ -163,6 +163,22 @@ def test_a_curve_failing_mid_stream_leaves_no_file(tmp_path, monkeypatch, capsys
     assert out.read_text() == "kept\n"
 
 
+def test_a_failed_write_leaves_no_directory_it_made(tmp_path, monkeypatch):
+    def upper(q, tau):
+        if tau > 0.5:
+            raise ValueError("upper bound failed")
+        return capacity_upper_bound(q, tau)
+
+    monkeypatch.setattr(cli, "capacity_upper_bound", upper)
+    monkeypatch.chdir(tmp_path)
+    assert main(["curves", "--q", "3", "--step", "0.01", "--out", "sub/dir/c.csv"]) == 1
+    assert list(tmp_path.iterdir()) == []
+    # a directory that was there before the write stays
+    (tmp_path / "sub").mkdir()
+    assert main(["curves", "--q", "3", "--step", "0.01", "--out", "sub/dir/c.csv"]) == 1
+    assert [p.name for p in tmp_path.rglob("*")] == ["sub"]
+
+
 def test_writes_leave_no_temp_files(tmp_path):
     assert main(["curves", "--q", "2", "--step", "0.5", "--out", str(tmp_path / "c.csv")]) == 0
     assert sorted(p.name for p in tmp_path.iterdir()) == ["c.csv"]

@@ -6,9 +6,10 @@ faults replace one field of a built-in Sender (Sender._replace), so the
 strategy keeps its decode and, with it, its table key.  Verifier-side
 faults, and the growth-rate fault, make one textual substitution in the
 source of qfeedback/verifier.py or qfeedback/bounds.py and load the result
-as a fresh module; each substitution must match exactly once, so a
-refactor that moves the line fails here, naming the row to re-aim, instead
-of passing silently.  The envelope fault replaces the lower_envelope the
+as a fresh module (the table-size oracle makes one more, to capture the
+table); each substitution must match exactly once, so a refactor that
+moves the line fails here, naming the row to re-aim, instead of passing
+silently.  The envelope fault replaces the lower_envelope the
 curves job calls.  Beside the faults, controls run the same oracles on the
 unplanted copies and must pass; a fault written out in the test (a feed)
 has a control written out the same way, with the fault taken out.
@@ -29,23 +30,32 @@ from qfeedback import bounds, cli, verifier
 from qfeedback.bounds import lower_envelope, modified_rubber_bound
 from qfeedback.channels import make_symmetric_channel, make_unidirectional_pair, make_z_channel
 from qfeedback.codebook import RunConstraint, suffix_ids
-from qfeedback.strategies import _push, identity_strategy, modified_rubber_strategy, unidirectional_rubber_strategy
+from qfeedback.strategies import (
+    _push,
+    identity_strategy,
+    modified_rubber_strategy,
+    unidirectional_rubber_strategy,
+    zero_error_unidirectional_strategy,
+)
 from qfeedback.verifier import verify_successful
 from test_bounds import assert_growth_rate_is_the_full_loop_root
 from test_cli import assert_envelope_is_the_max_of_the_achievable_curves
 from test_strategies import STACK_CASES, assert_sender_stack_is_the_parse
 from test_verdict_oracle import oracle_verdict
-from test_verifier import assert_memo_matches_full_walk, assert_node_budget_boundary_is_exact, whole_state_key
+from test_verifier import assert_memo_matches_full_walk, assert_node_budget_boundary_is_exact, interned, whole_state_key
 
 _loaded = itertools.count()
 
 
-def copy_with(original, old=None, new=None):
-    """A fresh copy of a qfeedback module, its source with old replaced by new."""
+def copy_with(original, *edits):
+    """A fresh copy of a qfeedback module, its source with each (old, new)
+    edit made: old replaced by new."""
     with open(original.__file__, encoding="utf-8") as handle:
         source = handle.read()
-    if old is not None:
-        assert source.count(old) == 1, f"re-aim this mutant: {old!r} no longer matches exactly once"
+    for old, new in edits:
+        # not an AssertionError, which a row built inside its check would count as caught
+        if source.count(old) != 1:
+            raise LookupError(f"re-aim this mutant: {old!r} no longer matches exactly once")
         source = source.replace(old, new)
     name = f"qfeedback._copy{next(_loaded)}"
     module = importlib.util.module_from_spec(importlib.util.spec_from_loader(name, loader=None))
@@ -59,17 +69,22 @@ def copy_with(original, old=None, new=None):
     return module
 
 
-def verifier_with(old=None, new=None):
-    """verify_successful from a copy of verifier.py with old replaced by new."""
-    module = copy_with(verifier, old, new)
+def verifier_copy(*edits):
+    """A copy of verifier.py with the edits made."""
+    module = copy_with(verifier, *edits)
     # verdicts compare equal only within one class
     module.Verdict = verifier.Verdict
-    return module.verify_successful
+    return module
 
 
-def growth_rate_oracle(old=None, new=None):
+def verifier_with(*edits):
+    """verify_successful from a copy of verifier.py with the edits made."""
+    return verifier_copy(*edits).verify_successful
+
+
+def growth_rate_oracle(*edits):
     """The full-loop reference run on run_growth_rate from a copy of bounds.py."""
-    growth_rate = copy_with(bounds, old, new).run_growth_rate
+    growth_rate = copy_with(bounds, *edits).run_growth_rate
     return lambda: assert_growth_rate_is_the_full_loop_root(growth_rate)
 
 
@@ -82,10 +97,11 @@ def rubber_z():
 
 
 def tuple_key(strategy, constraint, trailing_run=True):
-    """The search-wide key spelled out as a tuple, declared where the
-    strategy declares its own: the unread suffix as (rank among the
-    continuations, matched), the codeword's trailing run before it as the
-    codebook's DP state, the tail, and whether the message is 0."""
+    """The search-wide key spelled out as a tuple, interned to ints, and
+    declared where the strategy declares its own: the unread suffix as
+    (rank among the continuations, matched), the codeword's trailing run
+    before it as the codebook's DP state, the tail, and whether the
+    message is 0."""
     states = 1 + len(constraint.reserved) * (constraint.r - 1)
 
     def key_for(channel, t):
@@ -97,13 +113,35 @@ def tuple_key(strategy, constraint, trailing_run=True):
             run = suffix % states if trailing_run else None
             return suffix // states, run, state.tail, state.message == 0
 
-        return key
+        return interned(key)
 
     return with_sender(strategy, key_for=key_for)
 
 
 def unirubber():
     return unidirectional_rubber_strategy(3, 2, 5, 1)
+
+
+def zero_error_key(q, n, skip):
+    """zero_error's key written out over the digits word[i + skip:], and
+    declared where its own is; its own reads every unread digit, skip 0."""
+    strategy = zero_error_unidirectional_strategy(q, n)
+    base = (q + 1) // 2
+
+    def key_for(channel, t):
+        if strategy.encode_step.key_for(channel, t) is None:
+            return None
+
+        def key(state):
+            word, i, _ = state
+            code = 0
+            for digit in word[i + skip :]:
+                code = code * base + digit
+            return code
+
+        return key
+
+    return with_sender(strategy, key_for=key_for)
 
 
 UNI_CODEBOOK = RunConstraint(3, (0, 2), 2)
@@ -157,6 +195,27 @@ def differential(strategy, channel, t, verify=verify_successful):
     return lambda: assert_memo_matches_full_walk(strategy, channel, t, verify)
 
 
+def table_size_oracle(*edits, limit=100):
+    """A keyed search with the table limit set, from a copy of verifier.py
+    with the edits made: the unbounded search's verdict, from a table
+    filled to the limit and no further."""
+    tables = []
+
+    def new_table():
+        tables.append({})
+        return tables[-1]
+
+    module = verifier_copy((TABLE, "memo: dict = new_table()"), *edits)
+    module.new_table, module.TABLE_LIMIT = new_table, limit
+
+    def check():
+        strategy, channel = rubber_z(), make_z_channel(3)
+        assert module.verify_successful(strategy, channel, 2) == verify_successful(strategy, channel, 2)
+        assert [len(table) for table in tables] == [limit]
+
+    return check
+
+
 def cap_boundary(verify):
     # unkeyed, so the node that reaches the cap is walked, not a table hit
     return lambda: assert_node_budget_boundary_is_exact(identity_strategy(2, 3), make_z_channel(2), 0, verify)
@@ -179,7 +238,9 @@ def keyed_as_on(strategy, home):
     return with_sender(strategy, key_for=lambda channel, t: key_for(home, t))
 
 
-ENTRY = "entry = (key(state), depth, budget, direction)"
+ENTRY = "entry = ((key(state) * (n + 1) + depth) * (t + 1) + budget) * 3 + code[direction]"
+TABLE = "memo: dict = {}"
+STORE = "if room:"
 CAP_CHECK = "if size is not None and nodes - 1 + size <= node_budget:"
 CAP = "if nodes > node_budget:"
 SIGN_STOP = "if acc <= 0.0:"
@@ -200,7 +261,7 @@ ROWS = {
         2,
     ),
     "table hit that skips the node-cap check": lambda: differential(
-        rubber_z(), make_z_channel(3), 2, verifier_with(CAP_CHECK, "if size is not None:")
+        rubber_z(), make_z_channel(3), 2, verifier_with((CAP_CHECK, "if size is not None:"))
     ),
     # a rubber key implies the errors so far where it is declared; the
     # whole state does not, on a channel that forges rubber
@@ -208,16 +269,21 @@ ROWS = {
         whole_state_key(modified_rubber_strategy(2, 1, "invz", 3, 1)),
         make_symmetric_channel(2),
         2,
-        verifier_with(ENTRY, "entry = (key(state), depth, direction)"),
+        verifier_with((ENTRY, "entry = (key(state) * (n + 1) + depth) * 3 + code[direction]")),
     ),
     # the unidirectional sender's phase is the entry's direction, not part of its key
     "memo entry without the direction": lambda: differential(
         unidirectional_rubber_strategy(3, 2, 8, 2),
         make_unidirectional_pair(3),
         2,
-        verifier_with(ENTRY, "entry = (key(state), depth, budget)"),
+        verifier_with((ENTRY, "entry = (key(state) * (n + 1) + depth) * (t + 1) + budget")),
     ),
-    "node cap off by one": lambda: cap_boundary(verifier_with(CAP, "if nodes >= node_budget:")),
+    "table that stores past its limit": lambda: table_size_oracle((STORE, "if True:")),
+    # digits 0 and 1 are sent as 0 and 2, which have two and three outputs on uni(4)
+    "zero_error key without the next digit": lambda: differential(
+        zero_error_key(4, 5, skip=1), make_unidirectional_pair(4), 5
+    ),
+    "node cap off by one": lambda: cap_boundary(verifier_with((CAP, "if nodes >= node_budget:"))),
     "rubber feed with the flipped correction, z": lambda: stack_oracle(
         with_sender(rubber_z(), feed=rubber_z_feed(2, -1)), "rubber_z", make_z_channel(3), 2
     ),
@@ -232,7 +298,7 @@ ROWS = {
         with_sender(rubber_z(), feed=rubber_z_feed(0, -1)), "rubber_z", make_symmetric_channel(3), 2
     ),
     # a positive accumulator below 1 can still turn negative
-    "growth-rate sign read before it is known": lambda: growth_rate_oracle(SIGN_STOP, "if acc < 1.0:"),
+    "growth-rate sign read before it is known": lambda: growth_rate_oracle((SIGN_STOP, "if acc < 1.0:")),
     "lower_envelope without degree_two_bound below 0.2": lambda: envelope_oracle(8, without_degree_two_below(0.2)),
 }
 
@@ -252,6 +318,10 @@ CONTROLS = {
         unidirectional_rubber_strategy(3, 2, 8, 2), make_unidirectional_pair(3), 2, verifier_with()
     ),
     "the verifier copied unchanged, node cap": lambda: cap_boundary(verifier_with()),
+    "the verifier copied unchanged, table size": lambda: table_size_oracle(),
+    "zero_error key written out with every unread digit": lambda: differential(
+        zero_error_key(4, 5, skip=0), make_unidirectional_pair(4), 5
+    ),
     "rubber feed written out with its own correction, z": lambda: stack_oracle(
         with_sender(rubber_z(), feed=rubber_z_feed(2, +1)), "rubber_z", make_z_channel(3), 2
     ),

@@ -368,8 +368,14 @@ BUILDERS = {
 }
 
 
-# the channel on which each rubber builder declares its table key
-KEYED_ON = {"rubber_z": make_z_channel, "rubber_invz": make_inverse_z_channel, "unirubber": make_unidirectional_pair}
+# the channel on which each keyed builder declares its table key, and the
+# largest budget it declares it for, of the block length n and the design t
+KEYED_ON = {
+    "rubber_z": (make_z_channel, lambda n, t: t),
+    "rubber_invz": (make_inverse_z_channel, lambda n, t: t),
+    "unirubber": (make_unidirectional_pair, lambda n, t: t),
+    "zero_error": (make_unidirectional_pair, lambda n, t: n),
+}
 
 
 @pytest.mark.parametrize("q, n, t", [(3, 6, 1), (4, 8, 2), (5, 4, 0)])
@@ -386,12 +392,27 @@ def test_every_builder_holds_its_declaration(builder, q, n, t):
         assert sender.key_for is None
         return
     # a key for its own channel up to its own budget, and for no other search
-    assert sender.key_for(KEYED_ON[builder](q), t) is not None
-    assert sender.key_for(KEYED_ON[builder](q), t + 1) is None
+    own, most = KEYED_ON[builder]
+    most = most(n, t)
+    for budget in range(most + 1):
+        assert sender.key_for(own(q), budget) is not None, budget
+    assert sender.key_for(own(q), most + 1) is None
     channels = (make_z_channel, make_inverse_z_channel, make_symmetric_channel, make_star_channel, make_unidirectional_pair)
     for other in channels:
-        if other is not KEYED_ON[builder]:
+        if other is not own:
             assert sender.key_for(other(q), t) is None, other.__name__
+
+
+@pytest.mark.parametrize("q, n, t", [(3, 6, 1), (4, 8, 2)])
+@pytest.mark.parametrize("builder", KEYED_ON)
+def test_every_declared_key_is_an_int(builder, q, n, t):
+    # the verifier packs the key into one int table entry
+    strategy = BUILDERS[builder](q, n, t)
+    sender = strategy.encode_step
+    own, _ = KEYED_ON[builder]
+    key = sender.key_for(own(q), t)
+    for m in sorted({0, strategy.message_count // 2, strategy.message_count - 1}):
+        assert type(key(sender.start(m))) is int, m
 
 
 def test_a_larger_alphabet_of_the_own_side_is_another_channel():

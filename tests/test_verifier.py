@@ -1,9 +1,10 @@
+import tracemalloc
 from dataclasses import replace
 
 import pytest
 
 from qfeedback.bounds import sphere_packing_message_bound
-from qfeedback import codebook, strategies
+from qfeedback import codebook, strategies, verifier
 from qfeedback.channels import (
     DirectionState,
     UnidirectionalChannel,
@@ -314,25 +315,41 @@ def assert_memo_matches_full_walk(strategy, channel, t, verify=verify_successful
     return tree.outcome
 
 
-# each built for t = 2; unirubber's tree on uni (7,197 nodes) puts the 5,000 cap mid-tree
-RUBBER_SCHEMES = {
+# the rubber schemes are built for t = 2; unirubber's tree on uni (7,197
+# nodes) puts the 5,000 cap mid-tree
+SCHEMES = {
     "rubber_z": lambda: modified_rubber_strategy(3, 2, "z", 8, 2),
     "rubber_invz": lambda: modified_rubber_strategy(3, 2, "invz", 8, 2),
     "unirubber": lambda: unidirectional_rubber_strategy(3, 2, 9, 2),
-}
-
-# the schemes that declare a state but no key
-UNKEYED_SCHEMES = {
     "zero_error": lambda: zero_error_unidirectional_strategy(3, 7),
     "identity": lambda: identity_strategy(3, 4),
 }
 
+# the channel on which each keyed scheme declares its key; identity declares none
+KEYED_ON = {"rubber_z": "z", "rubber_invz": "invz", "unirubber": "uni", "zero_error": "uni"}
+
 
 @pytest.mark.parametrize("channel_id", CHANNELS)
-@pytest.mark.parametrize("scheme", {**RUBBER_SCHEMES, **UNKEYED_SCHEMES})
+@pytest.mark.parametrize("scheme", SCHEMES)
 def test_memo_matches_full_walk(scheme, channel_id):
-    build = RUBBER_SCHEMES.get(scheme) or UNKEYED_SCHEMES[scheme]
-    assert_memo_matches_full_walk(build(), CHANNELS[channel_id](3), 2)
+    assert_memo_matches_full_walk(SCHEMES[scheme](), CHANNELS[channel_id](3), 2)
+
+
+@pytest.mark.parametrize("q", range(2, 7))
+def test_zero_error_memo_matches_full_walk_at_every_budget(q):
+    # keyed on uni for every budget up to n
+    for n in range(1, 5):
+        strategy, channel = zero_error_unidirectional_strategy(q, n), make_unidirectional_pair(q)
+        for t in range(n + 1):
+            assert assert_memo_matches_full_walk(strategy, channel, t) == "success"
+
+
+def interned(key):
+    """key with each distinct value replaced by an int: its order of first
+    sight in the search, so equal values get equal ints and unequal ones
+    unequal ints."""
+    ids: dict = {}
+    return lambda state: ids.setdefault(key(state), len(ids))
 
 
 def whole_state_key(strategy):
@@ -343,19 +360,22 @@ def whole_state_key(strategy):
     the one table of the search.  The searches below fail, and the
     built-in keys are declared only where the schemes succeed.
     """
-    return replace(strategy, encode_step=strategy.encode_step._replace(key_for=lambda channel, t: lambda state: state))
+    def key_for(channel, t):
+        return interned(lambda state: state)
+
+    return replace(strategy, encode_step=strategy.encode_step._replace(key_for=key_for))
 
 
-@pytest.mark.parametrize(
-    "strategy, channel_id, t",
-    [
-        # the first failing leaf comes after subtrees the memo skips
-        (modified_rubber_strategy(3, 1, "invz", 9, 2), "z", 3),
-        (modified_rubber_strategy(3, 2, "invz", 9, 2), "star", 3),
-        (modified_rubber_strategy(3, 1, "invz", 9, 2), "uni", 2),
-        (unidirectional_rubber_strategy(3, 2, 9, 2), "uni", 3),
-    ],
-)
+# the first failing leaf comes after subtrees the memo skips
+PAST_SKIPPED_SUBTREES = [
+    (modified_rubber_strategy(3, 1, "invz", 9, 2), "z", 3),
+    (modified_rubber_strategy(3, 2, "invz", 9, 2), "star", 3),
+    (modified_rubber_strategy(3, 1, "invz", 9, 2), "uni", 2),
+    (unidirectional_rubber_strategy(3, 2, 9, 2), "uni", 3),
+]
+
+
+@pytest.mark.parametrize("strategy, channel_id, t", PAST_SKIPPED_SUBTREES)
 def test_memo_matches_full_walk_past_skipped_subtrees(strategy, channel_id, t):
     keyed = whole_state_key(strategy)
     assert assert_memo_matches_full_walk(keyed, CHANNELS[channel_id](3), t) == "counterexample"
@@ -365,20 +385,20 @@ def codeword_only(strategy):
     """The strategy with an unsound key, declared for every search: the
     codeword without the receiver stack."""
     def key_for(channel, t):
-        return lambda state: state.codeword
+        return interned(lambda state: state.codeword)
 
     return replace(strategy, encode_step=strategy.encode_step._replace(key_for=key_for))
 
 
 def test_differential_check_catches_an_unsound_key():
     with pytest.raises(AssertionError):
-        assert_memo_matches_full_walk(codeword_only(RUBBER_SCHEMES["rubber_z"]()), make_z_channel(3), 2)
+        assert_memo_matches_full_walk(codeword_only(SCHEMES["rubber_z"]()), make_z_channel(3), 2)
 
 
 @pytest.mark.parametrize("field", ["encode_step", "decode"])
 def test_replaced_callables_get_the_full_walk(field, monkeypatch):
     # the unsound key would change the verdict if it still applied
-    mutant = codeword_only(RUBBER_SCHEMES["rubber_z"]())
+    mutant = codeword_only(SCHEMES["rubber_z"]())
     rewrapped = replace(mutant, **{field: lambda *args: getattr(mutant, field)(*args)})
     channel = make_z_channel(3)
     for node_budget in (37, DEFAULT_NODE_BUDGET):
@@ -405,3 +425,49 @@ def test_memo_skips_proven_subtrees(monkeypatch):
     assert memo.outcome == full.outcome == "success"
     assert memo.nodes == full.nodes
     assert len(calls) < len(leaves)
+
+
+# -- the table's size bound -----------------------------------------------------
+
+
+def assert_a_full_table_changes_no_verdict(strategy, channel, t, monkeypatch):
+    """At table limits 0, 1 and 100 every Verdict field equals the
+    unbounded search's, uncapped and at every interesting node cap."""
+    tree = verify_successful(strategy, channel, t).nodes
+    caps = (1, 37, 5_000, tree - 1, tree, tree + 1, DEFAULT_NODE_BUDGET)
+    expected = [verify_successful(strategy, channel, t, node_budget=cap) for cap in caps]
+    for limit in (0, 1, 100):
+        monkeypatch.setattr(verifier, "TABLE_LIMIT", limit)
+        assert [verify_successful(strategy, channel, t, node_budget=cap) for cap in caps] == expected, limit
+
+
+@pytest.mark.parametrize("scheme", KEYED_ON)
+def test_a_full_table_changes_no_verdict(scheme, monkeypatch):
+    assert_a_full_table_changes_no_verdict(SCHEMES[scheme](), CHANNELS[KEYED_ON[scheme]](3), 2, monkeypatch)
+
+
+@pytest.mark.parametrize("strategy, channel_id, t", PAST_SKIPPED_SUBTREES)
+def test_a_full_table_changes_no_verdict_past_skipped_subtrees(strategy, channel_id, t, monkeypatch):
+    assert_a_full_table_changes_no_verdict(whole_state_key(strategy), CHANNELS[channel_id](3), t, monkeypatch)
+
+
+@pytest.mark.parametrize(
+    "build, channel, t, ceiling_mb",
+    [
+        # 18,294 entries; a 4-tuple per entry peaked at 2.51 MB
+        (lambda: unidirectional_rubber_strategy(4, 2, 10, 2), make_unidirectional_pair(4), 2, 1.8),
+        # 13,295 entries; a 4-tuple per entry peaked at 1.89 MB
+        (lambda: modified_rubber_strategy(3, 2, "z", 12, 3), make_z_channel(3), 3, 1.6),
+    ],
+    ids=["unirubber-uni", "rubber_z-z"],
+)
+def test_one_int_per_table_entry(build, channel, t, ceiling_mb):
+    strategy = build()
+    tracemalloc.start()
+    try:
+        verdict = verify_successful(strategy, channel, t)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert verdict.outcome == "success"
+    assert peak <= ceiling_mb * 1e6, peak
