@@ -69,8 +69,8 @@ class Strategy:
 
     The verifier, run_session and replay fold a declared Sender's state,
     one feed per delivered symbol, and ask any other encode_step about each
-    prefix.  A key declared for the search also turns on the verifier's
-    transposition table, with no further flag: each subtree is proven safe
+    prefix.  The verifier's transposition table is on exactly when the
+    Sender declares a key for the search: each subtree is proven safe
     once per sender key, whatever the message, and a repeat adds the
     stored node count, so a verdict's nodes still counts the whole tree
     (see the verifier module for the walk).  Each strategy that declares a

@@ -22,10 +22,10 @@ budget left, direction), so they are built once per search, through
 admissible_outputs and advance_direction, and kept in a table; an input
 outside the channel's symbols is rejected when its entry is built.
 
-The walk keeps a transposition table, on by default, one for the whole
-search.  When the Sender declares a key for the search
-(key_for(channel, t); each declaring strategy's docstring says where and
-why its key is sound), every subtree proven safe is stored under one
+The walk keeps one transposition table for the whole search, exactly
+when the walked Sender declares a key for the search (key_for(channel,
+t); each declaring strategy's docstring says where and why its key is
+sound).  Every subtree proven safe is then stored under one
 integer entry with its node count: the sender key, an int, packed with
 the depth, the budget left and the direction as
 ((key * (n + 1) + depth) * (t + 1) + budget) * 3 + direction code.
@@ -39,23 +39,22 @@ the subtree is walked.  The table stores at most TABLE_LIMIT entries;
 once that many subtrees are stored, new ones are walked and not stored,
 while hits on stored ones still count.  So the node count still counts
 the whole tree, and every Verdict field (outcome, counterexample, nodes)
-equals the plain walk's, whatever the limit.  The table is off when the
-Sender declares no key for the search, when decode is not the Sender's
-own, when the adapter runs, and when an on_transcript callback is given,
-since the callback must see every leaf.
+equals the plain walk's, whatever the limit.  A Sender declares no key,
+and the search walks with no table, where key_for declares none for
+this channel and budget, where decode is not the Sender's own (sender_of
+then drops key_for), and where the adapter runs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 from ._checks import check_at_least
 from .channels import DirectionState
 from .session import (
     Channel,
     Strategy,
-    Transcript,
     admissible_outputs,
     advance_direction,
     check_budget,
@@ -117,13 +116,7 @@ def _children(channel: Channel, symbols: frozenset, x: int, budget: int, directi
     )
 
 
-def verify_successful(
-    strategy: Strategy,
-    channel: Channel,
-    t: int,
-    node_budget: int = DEFAULT_NODE_BUDGET,
-    on_transcript: Optional[Callable[[Transcript], None]] = None,
-) -> Verdict:
+def verify_successful(strategy: Strategy, channel: Channel, t: int, node_budget: int = DEFAULT_NODE_BUDGET) -> Verdict:
     """Certify that every message survives every t-error adversary.
 
     Never conflates "not searched" with "safe": running out of node budget
@@ -137,7 +130,7 @@ def verify_successful(
     symbols = frozenset(channel.symbols)
     sender = sender_of(strategy)
     feed, emit = sender.feed, sender.emit
-    key = sender.key_for(channel, t) if sender.key_for is not None and on_transcript is None else None
+    key = sender.key_for(channel, t) if sender.key_for is not None else None
     code = _DIRECTION_CODE
     # packed (sender key, depth, budget left, direction) -> node count of a subtree proven safe
     memo: dict = {}
@@ -171,8 +164,6 @@ def verify_successful(
             if depth == n:
                 word = tuple(received)
                 decoded = decode(word)
-                if on_transcript is not None:
-                    on_transcript(Transcript(tuple(sent), word, direction, decoded))
                 if decoded != m:
                     return Verdict("counterexample", m, tuple(sent), word, decoded, nodes)
                 continue

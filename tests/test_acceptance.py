@@ -32,6 +32,7 @@ from qfeedback.strategies import (
     zero_error_unidirectional_strategy,
 )
 from qfeedback.verifier import verify_successful
+from test_verifier import recursive_leaves
 
 PHI = (1 + math.sqrt(5)) / 2
 NODE_BUDGET = 10_000_000
@@ -118,16 +119,15 @@ def test_criterion_04_bounds_sandwich_and_monotone():
 
 @lru_cache(maxsize=None)
 def _certified_rubber_jobs():
-    """The four rubber certifications, with their full leaf transcripts."""
+    """The four rubber certifications, each with its search time and the
+    leaf transcripts of its tree."""
     jobs = []
     for q, n, t in ((2, 6, 1), (2, 8, 2), (3, 6, 1), (3, 8, 2)):
         strategy = modified_rubber_strategy(q, 2, "z", n, t)
-        leaves = []
         started = time.perf_counter()
-        verdict = verify_successful(
-            strategy, make_z_channel(q), t, node_budget=NODE_BUDGET, on_transcript=leaves.append
-        )
+        verdict = verify_successful(strategy, make_z_channel(q), t, node_budget=NODE_BUDGET)
         elapsed = time.perf_counter() - started
+        leaves = recursive_leaves(strategy, make_z_channel(q), t)
         jobs.append((q, n, t, strategy, verdict, leaves, elapsed))
     return tuple(jobs)
 
@@ -244,21 +244,21 @@ def test_criterion_09_amortized_transmission_cost():
             continue
         k = n - 2 * t
         constraint = RunConstraint(q, (q - 1,), 2)
-        for tr in leaves:
-            w = list(unrank(constraint, k, tr.decoded))
+        for _, sent, received, _, decoded in leaves:
+            w = list(unrank(constraint, k, decoded))
             checked += 1
             for i in range(n + 1):
                 work = 0
                 for j in range(i):
                     stack = rubber_stack_parse(
-                        tr.received[:j], rubber=q - 1, correction=1, run_length=2
+                        received[:j], rubber=q - 1, correction=1, run_length=2
                     )
                     if not (len(stack) >= k and stack[:k] == w):
                         work += 1
-                errors = sum(1 for j in range(i) if tr.sent[j] != tr.received[j])
+                errors = sum(1 for j in range(i) if sent[j] != received[j])
                 if work > k + 2 * errors:
                     failures.append(
-                        f"q={q} n={n} t={t} y={tr.received}: {work} > {k}+2*{errors}"
+                        f"q={q} n={n} t={t} y={received}: {work} > {k}+2*{errors}"
                     )
                     break
     _report(9, not failures, "; ".join(failures[:3]) or f"{checked} transcripts")

@@ -11,7 +11,8 @@ with the verifier, session.admissible_outputs or advance_direction.
 
 Each (builder, channel) pair draws seeded random tiny instances, with
 t <= 2, and compares whole Verdicts with the verifier's, table on, with no
-cap and with random caps.
+cap and with random caps.  Each uncapped counterexample also replays
+through run_session and replay.
 """
 
 import random
@@ -26,6 +27,7 @@ from qfeedback.channels import (
     make_unidirectional_pair,
     make_z_channel,
 )
+from qfeedback.session import PathAdversary, replay, run_session
 from qfeedback.strategies import (
     identity_strategy,
     modified_rubber_strategy,
@@ -134,7 +136,13 @@ def test_verifier_agrees_with_the_oracle(builder, channel_id):
         strategy, q, t = BUILDERS[builder](rng)
         channel = CHANNELS[channel_id](q)
         expected = oracle_verdict(strategy, channel, t)
-        assert verify_successful(strategy, channel, t) == expected, strategy.name
+        v = verify_successful(strategy, channel, t)
+        assert v == expected, strategy.name
+        if v.outcome == "counterexample":
+            # the refutation replays through the session path
+            played = run_session(strategy, channel, PathAdversary(v.received), v.message, t)
+            assert (played.sent, played.decoded) == (v.sent, v.decoded), strategy.name
+            assert replay(strategy, v.message, v.received) == v.sent, strategy.name
         for _ in range(CAPS_PER_INSTANCE):
             cap = rng.randint(1, expected.nodes + 1)
             expected_capped = oracle_verdict(strategy, channel, t, cap)

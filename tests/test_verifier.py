@@ -23,6 +23,7 @@ from qfeedback.strategies import (
     zero_error_unidirectional_strategy,
 )
 from qfeedback.verifier import DEFAULT_NODE_BUDGET, Verdict, verify_successful
+from test_verdict_oracle import oracle_verdict
 
 
 def test_identity_with_zero_budget_succeeds():
@@ -194,35 +195,6 @@ def test_pigeonhole_consistency_with_message_bound():
     assert verify_successful(r, make_z_channel(3), 1).outcome == "success"
 
 
-def test_on_transcript_sees_every_leaf():
-    s = modified_rubber_strategy(2, 2, "z", 4, 1)
-    leaves = []
-    v = verify_successful(s, make_z_channel(2), 1, on_transcript=leaves.append)
-    assert v.outcome == "success"
-    assert leaves
-    for tr in leaves:
-        assert tr.decoded is not None
-        assert len(tr.sent) == 4
-        assert len(tr.error_positions) <= 1
-        assert all(tr.sent[i] != tr.received[i] for i in tr.error_positions)
-    # leaf count: distinct adversary paths, all decoding correctly
-    assert len({(tr.received) for tr in leaves}) >= len(leaves) // s.message_count
-
-
-def test_unidirectional_leaves_never_mix_directions():
-    s = unidirectional_rubber_strategy(3, 2, 8, 2)
-    leaves = []
-    v = verify_successful(s, make_unidirectional_pair(3), 2, on_transcript=leaves.append)
-    assert v.outcome == "success"
-    mixed_seen = False
-    for tr in leaves:
-        deltas = [y - x for x, y in zip(tr.sent, tr.received)]
-        assert not (any(d > 0 for d in deltas) and any(d < 0 for d in deltas))
-        if any(d != 0 for d in deltas):
-            mixed_seen = True
-    assert mixed_seen
-
-
 def recursive_leaves(strategy, channel, t):
     """Leaves (message, sent, received, direction, decoded) in plain recursive DFS order."""
     leaves = []
@@ -240,6 +212,26 @@ def recursive_leaves(strategy, channel, t):
     return leaves
 
 
+def tree_nodes(leaves):
+    """The node count of the tree with these leaves: every prefix of each
+    message's received words, the empty one and the full word included."""
+    return len({(m, received[:i]) for m, _, received, _, _ in leaves for i in range(len(received) + 1)})
+
+
+def test_unidirectional_leaves_never_mix_directions():
+    s = unidirectional_rubber_strategy(3, 2, 8, 2)
+    leaves = recursive_leaves(s, make_unidirectional_pair(3), 2)
+    v = verify_successful(s, make_unidirectional_pair(3), 2)
+    assert (v.outcome, v.nodes) == ("success", tree_nodes(leaves))
+    mixed_seen = False
+    for _, sent, received, _, _ in leaves:
+        deltas = [y - x for x, y in zip(sent, received)]
+        assert not (any(d > 0 for d in deltas) and any(d < 0 for d in deltas))
+        if any(d != 0 for d in deltas):
+            mixed_seen = True
+    assert mixed_seen
+
+
 @pytest.mark.parametrize(
     "strategy, channel, t",
     [
@@ -250,20 +242,19 @@ def recursive_leaves(strategy, channel, t):
     ],
 )
 def test_search_visits_leaves_in_recursive_order(strategy, channel, t):
-    expected = recursive_leaves(strategy, channel, t)
-    seen = []
-    verdict = verify_successful(
-        strategy, channel, t,
-        on_transcript=lambda tr: seen.append((tr.sent, tr.received, tr.direction, tr.decoded)),
-    )
-    failing = next((i for i, leaf in enumerate(expected) if leaf[4] != leaf[0]), None)
+    # the oracle counts nodes in recursive preorder, so equal Verdicts,
+    # capped mid-tree too, mean the search walks the same order
+    verdict = verify_successful(strategy, channel, t)
+    assert verdict == oracle_verdict(strategy, channel, t)
+    cap = verdict.nodes // 2
+    assert verify_successful(strategy, channel, t, node_budget=cap) == oracle_verdict(strategy, channel, t, cap)
+    leaves = recursive_leaves(strategy, channel, t)
+    failing = next((leaf for leaf in leaves if leaf[4] != leaf[0]), None)
     if failing is None:
         assert verdict.outcome == "success"
-        assert seen == [leaf[1:] for leaf in expected]
     else:
-        m, sent, received, _, decoded = expected[failing]
+        m, sent, received, _, decoded = failing
         assert (verdict.message, verdict.sent, verdict.received, verdict.decoded) == (m, sent, received, decoded)
-        assert seen == [leaf[1:] for leaf in expected[: failing + 1]]
 
 
 def test_verdict_json_for_counterexample():
@@ -287,8 +278,9 @@ CHANNELS = {
 
 
 def full_walk(strategy, channel, t, node_budget, verify=verify_successful):
-    # an on_transcript callback turns the memo off; the declared state stays
-    return verify(strategy, channel, t, node_budget=node_budget, on_transcript=lambda tr: None)
+    # a Sender with no key_for walks with no memo; the declared state stays
+    unkeyed = replace(strategy, encode_step=strategy.encode_step._replace(key_for=None))
+    return verify(unkeyed, channel, t, node_budget=node_budget)
 
 
 def encode_step_walk(strategy, channel, t, node_budget):
@@ -414,17 +406,18 @@ def test_replaced_callables_get_the_full_walk(field, monkeypatch):
 
 
 def test_memo_skips_proven_subtrees(monkeypatch):
+    # decode ranks the word at each leaf it reaches
     s = modified_rubber_strategy(3, 2, "z", 8, 2)
     channel = make_z_channel(3)
-    leaves = []
-    full = verify_successful(s, channel, 2, on_transcript=leaves.append)
     calls = []
     rank = strategies.rank
     monkeypatch.setattr(strategies, "rank", lambda *args: calls.append(args) or rank(*args))
+    full = full_walk(s, channel, 2, DEFAULT_NODE_BUDGET)
+    full_calls = len(calls)
     memo = verify_successful(s, channel, 2)
     assert memo.outcome == full.outcome == "success"
     assert memo.nodes == full.nodes
-    assert len(calls) < len(leaves)
+    assert len(calls) - full_calls < full_calls
 
 
 # -- the table's size bound -----------------------------------------------------
