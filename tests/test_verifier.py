@@ -218,6 +218,24 @@ def tree_nodes(leaves):
     return len({(m, received[:i]) for m, _, received, _, _ in leaves for i in range(len(received) + 1)})
 
 
+def test_every_leaf_decodes_within_the_budget():
+    # each leaf of the reference walk, played again through run_session,
+    # spends at most t errors, each a real change, and decodes its message
+    s = modified_rubber_strategy(2, 2, "z", 4, 1)
+    channel = make_z_channel(2)
+    leaves = recursive_leaves(s, channel, 1)
+    v = verify_successful(s, channel, 1)
+    assert (v.outcome, v.nodes) == ("success", tree_nodes(leaves))
+    assert leaves
+    for m, sent, received, _, decoded in leaves:
+        tr = run_session(s, channel, PathAdversary(received), m, 1)
+        assert (tr.sent, tr.received, tr.decoded) == (sent, received, decoded)
+        assert decoded == m
+        assert len(tr.sent) == 4
+        assert len(tr.error_positions) <= 1
+        assert all(tr.sent[i] != tr.received[i] for i in tr.error_positions)
+
+
 def test_unidirectional_leaves_never_mix_directions():
     s = unidirectional_rubber_strategy(3, 2, 8, 2)
     leaves = recursive_leaves(s, make_unidirectional_pair(3), 2)
