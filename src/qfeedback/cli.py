@@ -62,13 +62,14 @@ _GRAPH_CHANNELS = {
 _CHANNELS = {**_GRAPH_CHANNELS, "uni": make_unidirectional_pair}
 
 
-# name -> (builder from parsed args, default channel id); a default of None
-# means the channel named by --side
+# name -> (builder from parsed args, default channel id, the optional
+# strategy flags it reads); a default of None means the channel named by
+# --side, "z" when it is absent
 _STRATEGIES = {
-    "modified_rubber": (lambda a: modified_rubber_strategy(a.q, a.r, a.side, a.n, a.t), None),
-    "zero_error": (lambda a: zero_error_unidirectional_strategy(a.q, a.n), "uni"),
-    "unidirectional_rubber": (lambda a: unidirectional_rubber_strategy(a.q, a.r, a.n, a.t), "uni"),
-    "identity": (lambda a: identity_strategy(a.q, a.n), "z"),
+    "modified_rubber": (lambda a: modified_rubber_strategy(a.q, a.r, a.side or "z", a.n, a.t), None, ("r", "side")),
+    "zero_error": (lambda a: zero_error_unidirectional_strategy(a.q, a.n), "uni", ()),
+    "unidirectional_rubber": (lambda a: unidirectional_rubber_strategy(a.q, a.r, a.n, a.t), "uni", ("r",)),
+    "identity": (lambda a: identity_strategy(a.q, a.n), "z", ()),
 }
 
 
@@ -123,11 +124,15 @@ def _dump_json(data) -> str:
 
 
 def _build_strategy_and_channel(args):
-    """The strategy, the channel id and the channel that args select, t checked."""
-    build, default_channel = _STRATEGIES[args.strategy]
+    """The strategy, the channel id and the channel that args select, t
+    checked; a strategy flag that the strategy does not read is an error."""
+    build, default_channel, reads = _STRATEGIES[args.strategy]
+    for flag in ("r", "side"):
+        if getattr(args, flag) is not None and flag not in reads:
+            raise ValueError(f"strategy {args.strategy} does not read --{flag}")
     strategy = build(args)
     check_budget(strategy, args.t)
-    channel_id = args.channel or default_channel or args.side
+    channel_id = args.channel or default_channel or args.side or "z"
     return strategy, channel_id, _CHANNELS[channel_id](args.q)
 
 
@@ -344,7 +349,7 @@ def _add_strategy_arguments(parser) -> None:
     parser.add_argument("--n", type=int, required=True, help="block length")
     parser.add_argument("--t", type=int, required=True, help="adversary error budget")
     parser.add_argument("--r", type=int, default=None, help="rubber run length")
-    parser.add_argument("--side", choices=("z", "invz"), default="z")
+    parser.add_argument("--side", choices=("z", "invz"), default=None, help="modified_rubber's error direction (default z)")
     parser.add_argument("--channel", choices=tuple(_CHANNELS), default=None)
 
 

@@ -6,21 +6,24 @@ symbol for the one-sided scheme, both ends of the alphabet for the
 unidirectional one.  Counting uses exact big integers throughout; ranks
 overflow 64 bits quickly and the message bijection has to be exact.
 
-The DP state while scanning a string left to right is the trailing run:
-(None, 0) when the last symbol is unreserved, (s, k) when the string ends
-with exactly k copies of reserved symbol s.  A string is valid iff no
-prefix reaches a run of length r.
+The constraint is a finite automaton (_automaton), read left to right:
+its state is the string's trailing reserved run, state 0 when the last
+symbol is unreserved (or there is none) and one state for each reserved
+symbol s and run length k below r, the string ending in exactly k copies
+of s.  delta[state][symbol] is the next state, or -1 where symbol would
+complete a run of r.  A string is valid iff the walk never reaches -1.
+The count table holds, for each length L, the number of valid
+continuations of length L from each state; rank and unrank are
+enumerative coding over it (Cover 1973, "Enumerative source encoding").
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 from ._checks import check_at_least, check_integer
-
-State = tuple[Optional[int], int]
-_START: State = (None, 0)
 
 
 @dataclass(frozen=True)
@@ -43,50 +46,46 @@ class RunConstraint:
         object.__setattr__(self, "r", check_at_least(self.r, 1, "run length"))
 
 
-def _step(constraint: RunConstraint, state: State, symbol: int) -> Optional[State]:
-    """State after appending symbol, or None if that completes a forbidden run."""
-    if symbol not in constraint.reserved:
-        return _START
-    prev_sym, prev_run = state
-    run = prev_run + 1 if prev_sym == symbol else 1
-    if run >= constraint.r:
-        return None
-    return (symbol, run)
+@functools.cache
+def _automaton(constraint: RunConstraint) -> list[list[int]]:
+    """delta[state][symbol]: the state after appending symbol, or -1 where
+    symbol completes a forbidden run."""
+    # each state's trailing run (reserved symbol, length); the reset state's is (None, 0)
+    runs = [(None, 0)] + [(s, k) for s in constraint.reserved for k in range(1, constraint.r)]
+    index = {run: state for state, run in enumerate(runs)}
+    delta = []
+    for last, length in runs:
+        row = [0] * constraint.q
+        for s in constraint.reserved:
+            row[s] = index.get((s, length + 1 if s == last else 1), -1)
+        delta.append(row)
+    return delta
 
 
 # constraint -> table, where table[L][state] is the number of valid
 # continuations of length L from state.  A published table is never
 # mutated: a longer one replaces it.
-_SUFFIX_TABLES: dict[RunConstraint, list[dict[State, int]]] = {}
+_SUFFIX_TABLES: dict[RunConstraint, list[list[int]]] = {}
 
 
-def _suffix_counts(constraint: RunConstraint, length: int) -> list[dict[State, int]]:
+def _suffix_counts(constraint: RunConstraint, length: int) -> list[list[int]]:
     """The suffix-count table for constraint, with rows 0..length at least.
 
     Built bottom-up, one row from the one before, so long blocks cost no
     recursion depth.  The new rows go onto a private copy, published with
     one assignment, so interleaved extensions never see a half-built table.
     """
-    reserved = constraint.reserved
     table = _SUFFIX_TABLES.get(constraint)
-    if table is None:
-        states = [_START] + [(s, k) for s in reserved for k in range(1, constraint.r)]
-        table = [dict.fromkeys(states, 1)]
-    elif len(table) > length:
+    if table is not None and len(table) > length:
         return table
-    else:
-        table = list(table)
+    delta = _automaton(constraint)
+    reserved = constraint.reserved
+    table = list(table or [[1] * len(delta)])
     while len(table) <= length:
         prev = table[-1]
-        # Unreserved symbols all lead to the same reset state.
-        free = (constraint.q - len(reserved)) * prev[_START]
-        row = dict.fromkeys(prev, free)
-        for state in prev:
-            for s in reserved:
-                nxt = _step(constraint, state, s)
-                if nxt is not None:
-                    row[state] += prev[nxt]
-        table.append(row)
+        # unreserved symbols all lead to the reset state
+        free = (constraint.q - len(reserved)) * prev[0]
+        table.append([free + sum(prev[row[s]] for s in reserved if row[s] >= 0) for row in delta])
     _SUFFIX_TABLES[constraint] = table
     return table
 
@@ -94,16 +93,17 @@ def _suffix_counts(constraint: RunConstraint, length: int) -> list[dict[State, i
 def count(constraint, length: int) -> int:
     """Exact number of valid strings of the given length."""
     length = check_at_least(length, 0, "length")
-    return _suffix_counts(constraint, length)[length][_START]
+    return _suffix_counts(constraint, length)[length][0]
 
 
 def is_valid(constraint, word: Sequence[int]) -> bool:
-    state: Optional[State] = _START
+    delta = _automaton(constraint)
+    state = 0
     for symbol in word:
         if not 0 <= symbol < constraint.q:
             return False
-        state = _step(constraint, state, symbol)
-        if state is None:
+        state = delta[state][symbol]
+        if state < 0:
             return False
     return True
 
@@ -111,56 +111,21 @@ def is_valid(constraint, word: Sequence[int]) -> bool:
 def rank(constraint, word: Sequence[int]) -> int:
     """Lexicographic index of a valid word among all valid words of its length."""
     q = constraint.q
+    delta = _automaton(constraint)
     table = _suffix_counts(constraint, len(word))
-    state: State = _START
-    idx = 0
+    state = idx = 0
     for pos, symbol in enumerate(word):
         if not 0 <= symbol < q:
             raise ValueError(f"symbol {symbol} outside alphabet of size {q}")
         below = table[len(word) - pos - 1]
-        for lower in range(symbol):
-            nxt = _step(constraint, state, lower)
-            if nxt is not None:
+        row = delta[state]
+        for nxt in row[:symbol]:
+            if nxt >= 0:
                 idx += below[nxt]
-        nxt = _step(constraint, state, symbol)
-        if nxt is None:
+        state = row[symbol]
+        if state < 0:
             raise ValueError("word violates the run constraint")
-        state = nxt
     return idx
-
-
-def suffix_ids(constraint, word: Sequence[int]) -> list[int]:
-    """For each L in 0..len(word), one integer naming word[L:] after L symbols.
-
-    The id packs (the rank of word[L:] among the valid continuations of
-    word[:L], L, the DP state at L): the continuations depend on word[:L]
-    only through the DP state, so two valid words of one length get equal
-    ids at L exactly when they agree from L on and end word[:L] in the
-    same trailing run.  word must be valid.
-    """
-    length = len(word)
-    table = _suffix_counts(constraint, length)
-    states = {state: i for i, state in enumerate(table[0])}
-    state: State = _START
-    # per position: the DP state's index, and how many continuations rank below the symbol there
-    trail = []
-    for pos, symbol in enumerate(word):
-        below = table[length - pos - 1]
-        smaller = 0
-        for lower in range(symbol):
-            nxt = _step(constraint, state, lower)
-            if nxt is not None:
-                smaller += below[nxt]
-        trail.append((states[state], smaller))
-        state = _step(constraint, state, symbol)
-    residual = 0
-    ids = [length * len(states) + states[state]]
-    for pos in range(length - 1, -1, -1):
-        index, smaller = trail[pos]
-        residual += smaller
-        ids.append((residual * (length + 1) + pos) * len(states) + index)
-    ids.reverse()
-    return ids
 
 
 def unrank(constraint, length: int, idx: int) -> tuple[int, ...]:
@@ -169,22 +134,20 @@ def unrank(constraint, length: int, idx: int) -> tuple[int, ...]:
     idx = check_integer(idx, "index")
     if not 0 <= idx < total:
         raise ValueError(f"index {idx} out of range for {total} words")
-    q = constraint.q
+    delta = _automaton(constraint)
     table = _suffix_counts(constraint, length)
-    state: State = _START
+    state = 0
     word = []
     for pos in range(length):
         below = table[length - pos - 1]
-        for symbol in range(q):
-            nxt = _step(constraint, state, symbol)
-            if nxt is None:
+        for symbol, nxt in enumerate(delta[state]):
+            if nxt < 0:
                 continue
-            continuations = below[nxt]
-            if idx < continuations:
+            if idx < below[nxt]:
                 word.append(symbol)
                 state = nxt
                 break
-            idx -= continuations
+            idx -= below[nxt]
         else:
             raise AssertionError("ran out of symbols while unranking")
     return tuple(word)

@@ -50,7 +50,7 @@ from typing import Any, Callable, NamedTuple, Optional, Sequence
 
 from ._checks import check_at_least
 from .channels import DirectionState, UnidirectionalChannel, make_inverse_z_channel, make_z_channel
-from .codebook import RunConstraint, count, is_valid, rank, suffix_ids, unrank
+from .codebook import RunConstraint, count, is_valid, rank, unrank
 from .session import Channel, Sender, Strategy
 
 
@@ -124,16 +124,16 @@ def _push(
     return matched, tuple(stack[matched:])
 
 
-def _search_key(constraint: RunConstraint, k: int, n: int) -> Callable[[Any], int]:
+def _search_key(q: int, k: int, n: int) -> Callable[[Any], int]:
     """The table key of a rubber sender state, one integer for every message.
 
-    It packs the codeword's suffix id at matched (codebook.suffix_ids:
-    the unread suffix and the codeword's trailing reserved run before
-    it), the tail, and whether the message is 0; every state with the
-    whole codeword matched gets one key, -1.  The tail's symbols are
-    digits below q where a key is declared, and its length is below
-    n + 1, so the packing is injective.  The suffix ids are computed once
-    per message, at its first keyed node.
+    It packs the unread suffix codeword[matched:], the tail, and whether
+    the message is 0; every state with the whole codeword matched gets
+    one key, -1.  The suffix is its base-q value packed with matched,
+    which fixes how many digits it has.  The tail's symbols are digits
+    below q where a key is declared, and its length is below n + 1, so
+    the packing is injective.  The suffix codes are computed once per
+    message, at its first keyed node, in O(k).
 
     Soundness, where _key_for declares the key: a search of the scheme's
     own channel with a budget up to its t.  There every error moves a
@@ -143,28 +143,37 @@ def _search_key(constraint: RunConstraint, k: int, n: int) -> Callable[[Any], in
     codeword[:matched] stays in the stack.  Each pop repairs one error,
     so with at most t errors the final stack is at least k long (a
     shorter one would rank among shorter words, by its whole prefix).
-    Decode is then right exactly where the stack's first k symbols are
-    the codeword, or, for message 0, an invalid word; and whether
-    codeword[:matched] + X is valid depends on codeword[:matched] only
-    through its trailing reserved run.  Below a node, the inputs and the
-    rest of the stack depend on the state only through the unread suffix
-    and the tail.  So states with equal keys, at equal depth, budget left
-    and direction, root subtrees of one size that are safe together,
-    whatever their messages.  Once matched == k nothing below can undo
-    the codeword: every leaf decodes right, and the inputs below (the
-    fill, the filler, the flag) depend only on the depth and the
-    direction.
+    Below a node, the inputs and the rest of the stack depend on the
+    state only through the unread suffix and the tail, so each leaf's
+    stack is codeword[:matched] + X, with X the same below every state of
+    one key.  Decode is right where X starts with the unread suffix,
+    which the key names; otherwise the first k symbols are a valid word
+    that is not the codeword, which decodes wrong, or an invalid one,
+    which decodes to 0.  Whether codeword[:matched] + X is valid depends
+    on the trailing reserved run of codeword[:matched], so that run
+    matters to a leaf's safety only for message 0, and the message-0 bit
+    keeps message 0 apart (every search with a declared key succeeds, so
+    no check can observe the bit; it keeps the argument whole).  So
+    states with equal keys, at equal depth, budget left and direction,
+    root subtrees of one size that are safe together, whatever their
+    messages.  Once matched == k nothing below can undo the codeword:
+    every leaf decodes right, and the inputs below (the fill, the filler,
+    the flag) depend only on the depth and the direction.
     """
-    q = constraint.q
-    keyed, ids = None, ()
+    keyed, codes = None, ()
 
     def key(state) -> int:
-        nonlocal keyed, ids
+        nonlocal keyed, codes
         if state.matched == k:
             return -1
         if state.message != keyed:
-            keyed, ids = state.message, suffix_ids(constraint, state.codeword)
-        code = ids[state.matched]
+            # codes[L] = (base-q value of codeword[L:]) * k + L, built from the right
+            keyed, codes, value, power = state.message, [0] * k, 0, 1
+            for L in range(k - 1, -1, -1):
+                value += state.codeword[L] * power
+                power *= q
+                codes[L] = value * k + L
+        code = codes[state.matched]
         for s in state.tail:
             code = code * q + s
         return (code * (n + 1) + len(state.tail)) * 2 + (state.message == 0)
@@ -266,7 +275,7 @@ def modified_rubber_strategy(q: int, r: int, side: str, n: int, t: int) -> Strat
         return _decode_word(constraint, stack[:k])
 
     name = f"modified_rubber(q={q},r={r},side={side},n={n},t={t})"
-    key_for = _key_for(own, q, t, lambda: _search_key(constraint, k, n))
+    key_for = _key_for(own, q, t, lambda: _search_key(q, k, n))
     return Strategy(name, message_count, n, Sender(start, feed, emit, decode, key_for), decode)
 
 
@@ -450,7 +459,7 @@ def unidirectional_rubber_strategy(q: int, r: int, n: int, t: int) -> Strategy:
         return _decode_word(constraint, stack[:k])
 
     name = f"unidirectional_rubber(q={q},r={r},n={n},t={t})"
-    key_for = _key_for(UnidirectionalChannel, q, t, lambda: _search_key(constraint, k, n))
+    key_for = _key_for(UnidirectionalChannel, q, t, lambda: _search_key(q, k, n))
     return Strategy(name, message_count, n, Sender(start, feed, emit, decode, key_for), decode)
 
 

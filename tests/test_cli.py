@@ -597,6 +597,48 @@ out = {tmp_path}/b.json
     assert not (tmp_path / "b.json").exists()
 
 
+# (strategy, the flags of a job it accepts, one strategy flag it does not read)
+UNREAD_FLAGS = [
+    ("zero_error", "--q 3 --n 4 --t 2", "--r 7"),
+    ("zero_error", "--q 3 --n 4 --t 2", "--side invz"),
+    ("unidirectional_rubber", "--q 3 --r 2 --n 7 --t 1", "--side invz"),
+    ("identity", "--q 2 --n 3 --t 1", "--r 2"),
+    ("identity", "--q 2 --n 3 --t 1", "--side z"),
+]
+
+
+@pytest.mark.parametrize("kind", ["verify", "session", "campaign"])
+@pytest.mark.parametrize(
+    "strategy, flags, unread", UNREAD_FLAGS, ids=[f"{strategy}{unread}" for strategy, _, unread in UNREAD_FLAGS]
+)
+def test_a_flag_the_strategy_does_not_read_is_rejected(tmp_path, capsys, kind, strategy, flags, unread):
+    # the report would name neither flag, so accepting one would certify what was not asked
+    args = ["--strategy", strategy, *flags.split(), *unread.split()]
+    if kind == "verify":
+        code = main(["verify", *args, "--out", str(tmp_path / "r.json")])
+    elif kind == "session":
+        code = main(["session", *args, "--message", "0"])
+    else:
+        keys = "".join(f"{key[2:]} = {value}\n" for key, value in zip(args[::2], args[1::2]))
+        config = tmp_path / "jobs.ini"
+        section = f"kind = verify\n{keys}out = {tmp_path}/b.json\n"
+        config.write_text(f"[a]\nkind = curves\nq = 3\nout = {tmp_path}/a.csv\n\n[b]\n{section}")
+        code = main(["campaign", "--config", str(config)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert f"strategy {strategy} does not read {unread.split()[0]}" in captured.err
+    assert captured.out == ""
+    assert sorted(p.name for p in tmp_path.iterdir()) == (["jobs.ini"] if kind == "campaign" else [])
+
+
+def test_modified_rubber_without_side_is_side_z(tmp_path):
+    args = ["verify", "--strategy", "modified_rubber", "--q", "3", "--r", "2", "--n", "6", "--t", "1"]
+    assert main(args + ["--out", str(tmp_path / "default.json")]) == 0
+    assert main(args + ["--side", "z", "--out", str(tmp_path / "z.json")]) == 0
+    assert (tmp_path / "default.json").read_bytes() == (tmp_path / "z.json").read_bytes()
+    assert json.loads((tmp_path / "default.json").read_text())["channel"] == "z"
+
+
 VERIFY_IDENTITY = "kind = verify\nstrategy = identity\nq = 2\nn = 2\nout = {d}/b.json\n"
 SESSION_IDENTITY = "kind = session\nstrategy = identity\nq = 2\nt = 1\nout = {d}/b.json\n"
 

@@ -188,16 +188,51 @@ def test_interleaved_table_extensions_publish_whole_tables(monkeypatch):
     assert fresh[13] == 508_992
     monkeypatch.setattr(codebook, "_SUFFIX_TABLES", {})
     assert count(constraint, 2) == fresh[2]
-    step = codebook._step
+    automaton = codebook._automaton
     interleaved = []
 
-    def step_with_an_interleaved_extension(*args):
-        if not interleaved:
-            interleaved.append(constraint)
-            codebook._suffix_counts(constraint, 6)
-        return step(*args)
+    class Interleaving(list):
+        # the automaton, extending the table once as its second state's row is built
+        def __iter__(self):
+            for state, row in enumerate(super().__iter__()):
+                if state == 1 and not interleaved:
+                    interleaved.append(constraint)
+                    codebook._suffix_counts(constraint, 6)
+                yield row
 
-    monkeypatch.setattr(codebook, "_step", step_with_an_interleaved_extension)
+    monkeypatch.setattr(codebook, "_automaton", lambda c: Interleaving(automaton(c)))
     assert count(constraint, 13) == fresh[13]
     assert interleaved
     assert [count(constraint, length) for length in range(14)] == fresh
+
+
+def largest_eigenvalue(constraint):
+    """The largest eigenvalue of the constraint automaton's adjacency
+    matrix, whose entry (a, b) counts the symbols leading from state a to
+    state b: the growth rate of the valid strings."""
+    numpy = pytest.importorskip("numpy")
+    delta = codebook._automaton(constraint)
+    adjacency = numpy.zeros((len(delta), len(delta)))
+    for state, row in enumerate(delta):
+        for nxt in row:
+            if nxt >= 0:
+                adjacency[state, nxt] += 1
+    return max(abs(numpy.linalg.eigvals(adjacency)))
+
+
+@pytest.mark.parametrize("q", range(2, 9))
+def test_one_reserved_automaton_grows_at_run_growth_rate(q):
+    for r in range(2, 5):
+        assert abs(largest_eigenvalue(RunConstraint(q, (q - 1,), r)) - run_growth_rate(q, r)) < 1e-12
+
+
+@pytest.mark.parametrize("q, rate", [(3, 2.4142), (4, 3.5616), (5, 4.6458), (8, 7.7720)])
+def test_two_reserved_automaton_grows_slower(q, rate):
+    # the unidirectional rubber codebook reserves both ends of the alphabet,
+    # so it grows below the one-reserved rate behind modified_rubber_bound
+    constraint = RunConstraint(q, (0, q - 1), 2)
+    grows = largest_eigenvalue(constraint)
+    assert abs(grows - rate) < 5e-5
+    assert abs(count(constraint, 201) / count(constraint, 200) - grows) < 1e-9
+    for r in range(2, 5):
+        assert largest_eigenvalue(RunConstraint(q, (0, q - 1), r)) < run_growth_rate(q, r)

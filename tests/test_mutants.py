@@ -29,7 +29,6 @@ import pytest
 from qfeedback import bounds, cli, verifier
 from qfeedback.bounds import lower_envelope, modified_rubber_bound
 from qfeedback.channels import make_symmetric_channel, make_unidirectional_pair, make_z_channel
-from qfeedback.codebook import RunConstraint, suffix_ids
 from qfeedback.strategies import (
     _push,
     identity_strategy,
@@ -96,22 +95,29 @@ def rubber_z():
     return modified_rubber_strategy(3, 2, "z", 8, 2)
 
 
-def tuple_key(strategy, constraint, trailing_run=True):
+def tuple_key(strategy, q, whole=True):
     """The search-wide key spelled out as a tuple, interned to ints, and
-    declared where the strategy declares its own: the unread suffix as
-    (rank among the continuations, matched), the codeword's trailing run
-    before it as the codebook's DP state, the tail, and whether the
-    message is 0."""
-    states = 1 + len(constraint.reserved) * (constraint.r - 1)
+    declared where the strategy declares its own: the unread suffix
+    codeword[matched:] with matched, the tail, and whether the message is
+    0.  Not whole, it is one int that drops the tail's length and the
+    message-0 bit: the suffix's base-q value packed with matched, then the
+    tail's digits, so a tail can pass for more suffix."""
 
     def key_for(channel, t):
         if strategy.encode_step.key_for(channel, t) is None:
             return None
 
         def key(state):
-            suffix = suffix_ids(constraint, state.codeword)[state.matched]
-            run = suffix % states if trailing_run else None
-            return suffix // states, run, state.tail, state.message == 0
+            w, matched, tail = state.codeword, state.matched, state.tail
+            if whole:
+                return w[matched:], matched, tail, state.message == 0
+            code = 0
+            for s in w[matched:]:
+                code = code * q + s
+            code = code * len(w) + matched
+            for s in tail:
+                code = code * q + s
+            return code
 
         return interned(key)
 
@@ -119,7 +125,7 @@ def tuple_key(strategy, constraint, trailing_run=True):
 
 
 def unirubber():
-    return unidirectional_rubber_strategy(3, 2, 5, 1)
+    return unidirectional_rubber_strategy(3, 2, 9, 2)
 
 
 def zero_error_key(q, n, skip):
@@ -142,9 +148,6 @@ def zero_error_key(q, n, skip):
         return key
 
     return with_sender(strategy, key_for=key_for)
-
-
-UNI_CODEBOOK = RunConstraint(3, (0, 2), 2)
 
 
 def unnormalised(feed):
@@ -246,9 +249,9 @@ CAP = "if nodes > node_budget:"
 SIGN_STOP = "if acc <= 0.0:"
 
 ROWS = {
-    # the suffix rank alone names different suffixes alike
-    "key without the trailing run": lambda: differential(
-        tuple_key(unirubber(), UNI_CODEBOOK, trailing_run=False), make_unidirectional_pair(3), 1
+    # a tail digit passes for a suffix digit
+    "key without the tail's length and the message-0 bit": lambda: differential(
+        tuple_key(unirubber(), 3, whole=False), make_unidirectional_pair(3), 2
     ),
     # on sym the adversary forges rubber and pops into the matched prefix
     "key_for that ignores the channel": lambda: verdict_oracle(
@@ -303,8 +306,8 @@ ROWS = {
 }
 
 CONTROLS = {
-    "tuple key with the trailing run": lambda: differential(
-        tuple_key(unirubber(), UNI_CODEBOOK), make_unidirectional_pair(3), 1
+    "the key spelled out as a tuple": lambda: differential(
+        tuple_key(unirubber(), 3), make_unidirectional_pair(3), 2
     ),
     "the whole state as key": lambda: differential(
         whole_state_key(modified_rubber_strategy(2, 1, "invz", 3, 1)), make_symmetric_channel(2), 2, verifier_with()
